@@ -6,7 +6,7 @@ closed forms against an independent finite-difference beam solver, and
 sweeps/optimizes the geometry for scan angle.
 """
 
-from .materials import Material, MaterialRegistry, builtin_registry, from_si, to_si
+from .materials import Material, MaterialRegistry, builtin_registry, to_si
 from .multimorph import (
     CurvatureSolution,
     EquivalentSection,
@@ -37,7 +37,6 @@ __all__ = [
     "Material",
     "MaterialRegistry",
     "builtin_registry",
-    "from_si",
     "to_si",
     "CurvatureSolution",
     "EquivalentSection",

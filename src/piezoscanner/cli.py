@@ -17,7 +17,7 @@ import tempfile
 import numpy as np
 
 from . import materials, multimorph, oracle, scanner, sweep as sweep_mod
-from .config import ConfigDoc, ConfigError, parse_config
+from .config import ConfigError, parse_config
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -54,7 +54,7 @@ def _csv(header: str, rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_config(path: str) -> ConfigDoc:
+def _load_config(path: str) -> sweep_mod.ScanConfig:
     try:
         with open(path, "r") as handle:
             text = handle.read()
@@ -75,8 +75,7 @@ def _model_row(solution: scanner.ScannerSolution) -> list[str]:
 
 
 def _cmd_model(args) -> int:
-    doc = _load_config(args.config)
-    solution = doc.scan_config().solve()
+    solution = _load_config(args.config).solve()
     row = _model_row(solution)
     print(
         f"phi_deg={row[0]} y_max_um={row[1]} x_at_ymax_um={row[2]} "
@@ -87,10 +86,10 @@ def _cmd_model(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    doc = _load_config(args.config)
+    config = _load_config(args.config)
     if args.samples < 2:
         raise ConfigError("--samples must be >= 2")
-    solution = doc.scan_config().solve(samples=args.samples)
+    solution = config.solve(samples=args.samples)
     rows = [[_fmt(u * 1e6), _fmt(y * 1e6)] for u, y in solution.profile]
     _write_atomic(args.out, _csv("x_um,y_um", rows))
     return EXIT_OK
@@ -121,10 +120,10 @@ _SWEEP_HEADER = "param_name,param_value_si,phi_deg,y_max_um,F_uN,R_A_uN,status"
 
 
 def _cmd_sweep(args) -> int:
-    doc = _load_config(args.config)
+    config = _load_config(args.config)
     try:
         spec = sweep_mod.SweepSpec(
-            base=doc.scan_config(), axis=args.axis,
+            base=config, axis=args.axis,
             start=getattr(args, "from"), stop=args.to, steps=args.steps,
         )
     except ValueError as exc:
@@ -284,13 +283,7 @@ def run(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (
-        materials.UnknownMaterialError,
-        materials.UnsupportedUnitError,
-    ) as exc:
+    except (ConfigError, materials.UnknownMaterialError) as exc:
         print(f"config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ValueError, ArithmeticError) as exc:

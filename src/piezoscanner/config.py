@@ -13,13 +13,15 @@ Sections and keys:
 
 Unknown sections or keys are errors; each material section takes either a
 registry name or explicit constants, never both. Units are fixed by the key
-suffixes and converted to SI here, at the boundary.
+suffixes and converted to SI here, at the boundary. Parsing yields a
+:class:`~piezoscanner.sweep.ScanConfig`, the one design carrier past this
+boundary.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+import math
 
 from .materials import Material, MaterialRegistry, builtin_registry, to_si
 from .sweep import ScanConfig
@@ -43,40 +45,14 @@ _SECTION_KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class ConfigDoc:
-    """Parsed and validated config: section -> key -> value (floats in SI)."""
-
-    substrate: Material
-    piezo: Material
-    beam_length: float
-    beam_width: float
-    substrate_thickness: float
-    piezo_thickness: float
-    mirror_side: float
-    voltage: float
-
-    def scan_config(self) -> ScanConfig:
-        if self.piezo.d31 is None:
-            raise ConfigError("material.piezo: material has no d31 coefficient")
-        return ScanConfig(
-            substrate_E=self.substrate.young_modulus,
-            piezo_E=self.piezo.young_modulus,
-            d31=self.piezo.d31,
-            substrate_t=self.substrate_thickness,
-            piezo_t=self.piezo_thickness,
-            beam_width=self.beam_width,
-            beam_length=self.beam_length,
-            mirror_side=self.mirror_side,
-            voltage=self.voltage,
-        )
-
-
 def _float(section: str, key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"{section}.{key}: not a number: {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{section}.{key}: must be finite, got {raw!r}")
+    return value
 
 
 def _positive(section: str, key: str, value: float) -> float:
@@ -106,7 +82,7 @@ def _material(section: str, raw: dict[str, str], registry: MaterialRegistry) -> 
         raise ConfigError(f"{section}: {exc}") from exc
 
 
-def parse_config(text: str, registry: MaterialRegistry | None = None) -> ConfigDoc:
+def parse_config(text: str, registry: MaterialRegistry | None = None) -> ScanConfig:
     """Parse and validate a config document. Raises ConfigError."""
     if registry is None:
         registry = builtin_registry()
@@ -153,13 +129,14 @@ def parse_config(text: str, registry: MaterialRegistry | None = None) -> ConfigD
         raise ConfigError("drive: missing required key voltage_V")
     voltage = _float("drive", "voltage_V", drive["voltage_V"])
 
-    return ConfigDoc(
-        substrate=substrate,
-        piezo=piezo,
-        beam_length=geom_si["beam_length_um"],
+    return ScanConfig(
+        substrate_E=substrate.young_modulus,
+        piezo_E=piezo.young_modulus,
+        d31=piezo.d31,
+        substrate_t=geom_si["substrate_thickness_um"],
+        piezo_t=geom_si["piezo_thickness_um"],
         beam_width=geom_si["beam_width_um"],
-        substrate_thickness=geom_si["substrate_thickness_um"],
-        piezo_thickness=geom_si["piezo_thickness_um"],
+        beam_length=geom_si["beam_length_um"],
         mirror_side=geom_si["mirror_side_um"],
         voltage=voltage,
     )

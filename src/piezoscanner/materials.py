@@ -37,16 +37,6 @@ def to_si(value: float, unit: str) -> float:
         ) from None
 
 
-def from_si(value: float, unit: str) -> float:
-    """Inverse of :func:`to_si`."""
-    try:
-        return value / _UNIT_SCALE[unit]
-    except KeyError:
-        raise UnsupportedUnitError(
-            f"unsupported unit {unit!r}; supported: {sorted(_UNIT_SCALE)}"
-        ) from None
-
-
 @dataclass(frozen=True)
 class Material:
     """Elastic (and optionally piezoelectric) constants of one constituent.

@@ -109,28 +109,13 @@ def _solve_superposed(grid, h, curvature_coeff, a_snapped, force):
     return y_load + r * y_unit, r
 
 
-def solve_fd(problem: BeamProblem) -> OracleSolution:
-    """Solve the discretized beam with an exactly rigid mirror segment."""
-    n = problem.nodes
-    grid = np.linspace(0.0, problem.span, n)
-    h = problem.span / (n - 1)
-    j = int(round(problem.a / h))
-    j = min(max(j, 1), n - 2)
-    a_snapped = grid[j]
+def solve_fd(problem: BeamProblem, rigidity_ratio: float = math.inf) -> OracleSolution:
+    """Solve the discretized beam.
 
-    coeff = np.zeros(n)
-    coeff[j] = 0.5 / problem.rigidity
-    coeff[j + 1 :] = 1.0 / problem.rigidity
-
-    y, r = _solve_superposed(grid, h, coeff, a_snapped, problem.force)
-    return OracleSolution(reaction=r, grid=grid, deflection=y, a_snapped=a_snapped)
-
-
-def solve_fd_finite_rigidity(problem: BeamProblem, rigidity_ratio: float = 1e6) -> OracleSolution:
-    """Variant with a stiff but finite mirror segment instead of constraints.
-
-    The mirror segment gets rigidity_ratio times the beam rigidity; used to
-    confirm the exact-rigid idealization is insensitive to the ratio.
+    The mirror segment gets rigidity_ratio times the beam rigidity. The
+    default, an infinite ratio, makes it exactly rigid (zero curvature); a
+    large finite ratio confirms that the rigid idealization is insensitive
+    to it.
     """
     n = problem.nodes
     grid = np.linspace(0.0, problem.span, n)

@@ -215,7 +215,11 @@ def solve_scanner(geometry: ScannerGeometry, voltage: float, samples: int = 401)
     full = 2 * span
     last = samples - 1
     for i in range(samples):
-        if 2 * i <= last:
+        if 2 * i == last:
+            # full * i / last can round off span; the center is x = 0 exactly.
+            u = span
+            y = profile_half(0.0, force, a, span, rigidity)
+        elif 2 * i < last:
             u = full * i / last
             y = profile_half(span - u, force, a, span, rigidity)
         else:

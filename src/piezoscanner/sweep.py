@@ -78,6 +78,8 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.axis not in AXES:
             raise ValueError(f"unknown axis {self.axis!r}; one of {sorted(AXES)}")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ValueError("start and stop must be finite")
         if not self.start < self.stop:
             raise ValueError("need start < stop")
         if self.steps < 2:

@@ -36,20 +36,20 @@ def config_path(tmp_path):
 
 class TestParseConfig:
     def test_reference_config(self):
-        doc = parse_config(SCANNER_A_CFG)
-        assert doc.substrate.young_modulus == 169e9
-        assert doc.piezo.d31 == -274e-12
-        assert doc.beam_length == pytest.approx(850e-6)
-        assert doc.voltage == 50.0
+        config = parse_config(SCANNER_A_CFG)
+        assert config.substrate_E == 169e9
+        assert config.d31 == -274e-12
+        assert config.beam_length == pytest.approx(850e-6)
+        assert config.voltage == 50.0
 
     def test_explicit_constants(self):
         text = SCANNER_A_CFG.replace(
             "[material.piezo]\nname = pzt-5h",
             "[material.piezo]\nE_GPa = 60.6\nd31_pm_per_V = -274",
         )
-        doc = parse_config(text)
-        assert doc.piezo.young_modulus == pytest.approx(60.6e9)
-        assert doc.piezo.d31 == pytest.approx(-274e-12)
+        config = parse_config(text)
+        assert config.piezo_E == pytest.approx(60.6e9)
+        assert config.d31 == pytest.approx(-274e-12)
 
     def test_name_and_constants_rejected(self):
         text = SCANNER_A_CFG.replace(
@@ -59,9 +59,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="not both"):
             parse_config(text)
 
-    def test_negative_geometry_rejected(self):
-        with pytest.raises(ConfigError, match="beam_width_um"):
-            parse_config(SCANNER_A_CFG.replace("beam_width_um = 30", "beam_width_um = -30"))
+    @pytest.mark.parametrize(
+        "line, bad",
+        [
+            ("beam_width_um = 30", "beam_width_um = -30"),
+            ("beam_width_um = 30", "beam_width_um = nan"),
+            ("beam_width_um = 30", "beam_width_um = inf"),
+            ("voltage_V = 50", "voltage_V = nan"),
+        ],
+        ids=["-30", "nan", "inf", "voltage-nan"],
+    )
+    def test_negative_geometry_rejected(self, line, bad):
+        with pytest.raises(ConfigError, match=line.split()[0]):
+            parse_config(SCANNER_A_CFG.replace(line, bad))
 
     def test_duplicate_section_rejected(self):
         with pytest.raises(ConfigError, match="duplicate section"):
@@ -112,6 +122,12 @@ class TestModelCommand:
         assert run(["model", "--config", str(bad), "--out", str(tmp_path / "m.csv")]) == 1
         assert capsys.readouterr().err.startswith("config:")
 
+    def test_unknown_material_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(SCANNER_A_CFG.replace("name = silicon", "name = unobtainium"))
+        assert run(["model", "--config", str(bad), "--out", str(tmp_path / "m.csv")]) == 1
+        assert capsys.readouterr().err.startswith("config: unknown material")
+
 
 class TestProfileCommand:
     def test_five_sample_profile(self, config_path, tmp_path):
@@ -150,11 +166,14 @@ class TestSweepCommand:
         assert all(line.endswith(",ok") for line in lines[1:])
         assert lines[1].startswith("beam_length,0.0005,")
 
-    def test_bad_range_exit_code(self, config_path, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "start, stop", [("50", "50"), ("50", "inf"), ("-inf", "50"), ("nan", "50")]
+    )
+    def test_bad_range_exit_code(self, config_path, tmp_path, capsys, start, stop):
         code = run(
             [
                 "sweep", "--config", config_path, "--axis", "voltage",
-                "--from=50", "--to=50", "--steps", "3",
+                f"--from={start}", f"--to={stop}", "--steps", "3",
                 "--out", str(tmp_path / "s.csv"),
             ]
         )

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -239,3 +240,13 @@ class TestSolveScanner:
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             solve_scanner(geometry_a(), 50.0, samples=1)
+
+    @pytest.mark.parametrize("samples", [401, 3201])
+    def test_center_exact_where_grid_rounds_past_span(self, samples):
+        geometry = ScannerGeometry(stack=replace(REFERENCE_STACK, length=169e-6), mirror_side=300e-6)
+        span, last = geometry.half_span, samples - 1
+        assert 2 * span * (last // 2) / last > span  # the uniform grid overshoots the center
+        sol = solve_scanner(geometry, 50.0, samples=samples)
+        assert sol.profile[last // 2] == (span, 0.0)
+        for (_, y1), (_, y2) in zip(sol.profile, reversed(sol.profile)):
+            assert y1 == -y2
