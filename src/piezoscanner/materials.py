@@ -56,7 +56,7 @@ class Material:
     s11E: float | None = None
 
     def __post_init__(self) -> None:
-        if self.young_modulus <= 0:
+        if not self.young_modulus > 0:
             raise ValueError(f"{self.name}: young_modulus must be > 0")
         if self.s11E is not None:
             recip = self.young_modulus * self.s11E

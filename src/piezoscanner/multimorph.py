@@ -41,7 +41,7 @@ class MultimorphStack:
 
     def __post_init__(self) -> None:
         for field in ("substrate_E", "substrate_t", "piezo_E", "piezo_t", "width", "length"):
-            if getattr(self, field) <= 0:
+            if not getattr(self, field) > 0:
                 raise ValueError(f"{field} must be > 0")
 
 

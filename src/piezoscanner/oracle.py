@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from . import scanner
 
@@ -38,7 +37,7 @@ class BeamProblem:
             raise ValueError("nodes must be odd and >= 11")
         if not 0 < self.a < self.span:
             raise ValueError("need 0 < a < span")
-        if self.rigidity <= 0:
+        if not self.rigidity > 0:
             raise ValueError("rigidity must be > 0")
 
 
@@ -60,6 +59,19 @@ class OracleSolution:
         return math.atan(abs(self.rigid_segment_slope()))
 
 
+def _integrate_twice(rhs):
+    """Exact solution of y[i-1] - 2 y[i] + y[i+1] = rhs[i-1] at the n - 2
+    interior nodes, with y = 0 at both ends.
+
+    Two running sums give the solution with y[0] = y[1] = 0; subtracting
+    the linear term, which the stencil does not see, zeroes the far end.
+    """
+    n = rhs.size + 2
+    y = np.zeros(n)
+    y[2:] = np.cumsum(np.cumsum(rhs))
+    return y - y[-1] * (np.arange(n) / (n - 1))
+
+
 def _solve_superposed(grid, h, curvature_coeff, a_snapped, force):
     """Solve the beam twice (unit reaction, pure load) and superpose.
 
@@ -74,30 +86,13 @@ def _solve_superposed(grid, h, curvature_coeff, a_snapped, force):
     curvature jumps there, and the central stencil sees the mean).
     """
     n = grid.size
-    # Tridiagonal system rows: y_0 = 0; central y'' stencils at 1..n-2;
-    # y_{n-1} = 0. Banded storage (upper, diag, lower).
-    ab = np.zeros((3, n))
-    ab[1, 0] = 1.0
-    ab[1, n - 1] = 1.0
-    ab[0, 2:n] = 1.0
-    ab[2, 0 : n - 2] = 1.0
-    ab[1, 1 : n - 1] = -2.0
-
     # Moment split: M(x) = R * x + force * max(x - a, 0).
     x_int = grid[1 : n - 1]
     m_load = force * np.maximum(x_int - a_snapped, 0.0)
     coeff = curvature_coeff[1 : n - 1]
 
-    rhs_load = np.zeros(n)
-    rhs_load[1 : n - 1] = h * h * coeff * m_load
-    rhs_unit = np.zeros(n)
-    rhs_unit[1 : n - 1] = h * h * coeff * x_int
-
-    try:
-        y_load = solve_banded((1, 1), ab, rhs_load)
-        y_unit = solve_banded((1, 1), ab, rhs_unit)
-    except np.linalg.LinAlgError as exc:
-        raise OracleSingularError(str(exc)) from exc
+    y_load = _integrate_twice(h * h * coeff * m_load)
+    y_unit = _integrate_twice(h * h * coeff * x_int)
 
     def clamp_slope(y):
         return 3 * y[n - 1] - 4 * y[n - 2] + y[n - 3]

@@ -33,7 +33,7 @@ class ScannerGeometry:
     mirror_side: float
 
     def __post_init__(self) -> None:
-        if self.mirror_side <= 0:
+        if not self.mirror_side > 0:
             raise ValueError("mirror_side must be > 0")
 
     @property
@@ -208,6 +208,11 @@ def solve_scanner(geometry: ScannerGeometry, voltage: float, samples: int = 401)
     tilt_signed = tilt(force, a, span, rigidity)
     y_max, x_at = max_deflection(force, a, span, rigidity)
     y_at = profile_half(x_at, force, a, span, rigidity)
+    # Finite inputs can still overflow; no non-finite result may leave the model.
+    for name, value in (("force", force), ("rigidity", rigidity), ("reaction", r_a),
+                        ("tilt", tilt_signed), ("y_max", y_max)):
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite {name} ({value}); the design overflows double precision")
 
     # Mirror the grid around the center so the antisymmetry of the two
     # half-profiles is exact in floating point.
@@ -228,6 +233,8 @@ def solve_scanner(geometry: ScannerGeometry, voltage: float, samples: int = 401)
             y = -profile_half(span - u_mirror, force, a, span, rigidity)
         if i in (0, last):
             y = 0.0  # anchors are clamped; suppress closed-form round-off
+        if not math.isfinite(y):
+            raise ValueError(f"non-finite profile ordinate ({y}) at u={u}")
         profile.append((u, y))
 
     return ScannerSolution(

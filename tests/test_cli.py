@@ -1,8 +1,11 @@
 import os
+import subprocess
+import sys
 import textwrap
 
 import pytest
 
+import piezoscanner
 from piezoscanner.cli import run
 from piezoscanner.config import ConfigError, parse_config
 
@@ -216,6 +219,43 @@ class TestVerifyCommand:
     def test_bad_nodes(self, capsys):
         assert run(["verify", "--nodes", "10"]) == 1
         assert capsys.readouterr().err.startswith("config:")
+
+
+class TestNonFiniteResults:
+    """Finite inputs whose results overflow fail with exit 2, never print nan or inf."""
+
+    @pytest.mark.parametrize(
+        "line, bad, argv",
+        [
+            ("name = silicon", "E_GPa = 1e300", ["model"]),
+            ("voltage_V = 50", "voltage_V = 1e308", ["profile", "--samples", "5"]),
+            ("", "", ["sweep", "--axis", "voltage", "--from=1e307", "--to=1.7e308", "--steps", "3"]),
+        ],
+        ids=["model-E", "profile-voltage", "sweep-voltage"],
+    )
+    def test_overflow_fails(self, tmp_path, capsys, line, bad, argv):
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text(SCANNER_A_CFG.replace(line, bad) if line else SCANNER_A_CFG)
+        out = tmp_path / "out.csv"
+        assert run([argv[0], "--config", str(cfg), *argv[1:], "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numeric:")
+        assert "nan" not in captured.out and "inf" not in captured.out
+        if out.exists():
+            for row in out.read_text().splitlines()[1:]:
+                if row.endswith(",ok"):
+                    assert "nan" not in row and "inf" not in row
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(piezoscanner.__file__))
+    probe = "import sys, piezoscanner.cli; assert 'scipy' not in sys.modules, 'scipy imported'"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 class TestAtomicWrites:

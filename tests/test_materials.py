@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from piezoscanner.materials import (
@@ -38,9 +40,10 @@ class TestRegistry:
 
 
 class TestMaterialValidation:
-    def test_nonpositive_modulus_rejected(self):
+    @pytest.mark.parametrize("modulus", [-1.0, math.nan])
+    def test_nonpositive_modulus_rejected(self, modulus):
         with pytest.raises(ValueError):
-            Material(name="bad", young_modulus=-1.0)
+            Material(name="bad", young_modulus=modulus)
 
     def test_inconsistent_compliance_rejected(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given
@@ -211,9 +212,10 @@ class TestEquivalentForce:
         )
 
 
-def test_invalid_stack_rejected():
+@pytest.mark.parametrize("substrate_t", [0.0, math.nan])
+def test_invalid_stack_rejected(substrate_t):
     with pytest.raises(ValueError):
         MultimorphStack(
-            substrate_E=169e9, substrate_t=0.0, piezo_E=60e9, piezo_t=1e-6,
+            substrate_E=169e9, substrate_t=substrate_t, piezo_E=60e9, piezo_t=1e-6,
             d31=-274e-12, width=30e-6, length=850e-6,
         )

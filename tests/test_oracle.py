@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,11 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             BeamProblem(span=SPAN, a=SPAN, force=FORCE, rigidity=RIGIDITY)
 
+    @pytest.mark.parametrize("rigidity", [0.0, math.nan])
+    def test_nonpositive_rigidity_rejected(self, rigidity):
+        with pytest.raises(ValueError):
+            BeamProblem(span=SPAN, a=A, force=FORCE, rigidity=rigidity)
+
 
 class TestSolveFd:
     def test_zero_force(self):
@@ -64,6 +71,28 @@ class TestSolveFd:
         solution = solve_fd(problem_a())
         expected = abs(scanner.tilt(FORCE, solution.a_snapped, SPAN, RIGIDITY))
         assert solution.tilt() == pytest.approx(expected, rel=5e-3)
+
+
+class TestIntegrateTwice:
+    def test_round_off_against_dense_solve(self, monkeypatch):
+        # Capture the load and unit right-hand sides of a real solve.
+        integrate = oracle._integrate_twice
+        seen = []
+
+        def recording(rhs):
+            seen.append(rhs)
+            return integrate(rhs)
+
+        monkeypatch.setattr(oracle, "_integrate_twice", recording)
+        solve_fd(problem_a(nodes=1001))
+        assert len(seen) == 2
+        for rhs in seen:
+            m = rhs.size
+            stencil = np.diag(np.full(m, -2.0)) + np.eye(m, k=1) + np.eye(m, k=-1)
+            dense = np.linalg.solve(stencil, rhs)
+            y = integrate(rhs)
+            assert y[0] == 0.0 and y[-1] == 0.0
+            assert np.max(np.abs(y[1:-1] - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 class TestConvergence:

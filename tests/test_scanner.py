@@ -241,6 +241,11 @@ class TestSolveScanner:
         with pytest.raises(ValueError):
             solve_scanner(geometry_a(), 50.0, samples=1)
 
+    @pytest.mark.parametrize("mirror_side", [0.0, math.nan])
+    def test_invalid_mirror_side_rejected(self, mirror_side):
+        with pytest.raises(ValueError):
+            ScannerGeometry(stack=REFERENCE_STACK, mirror_side=mirror_side)
+
     @pytest.mark.parametrize("samples", [401, 3201])
     def test_center_exact_where_grid_rounds_past_span(self, samples):
         geometry = ScannerGeometry(stack=replace(REFERENCE_STACK, length=169e-6), mirror_side=300e-6)
