@@ -6,7 +6,7 @@ closed forms against an independent finite-difference beam solver, and
 sweeps/optimizes the geometry for scan angle.
 """
 
-from .materials import Material, MaterialRegistry, builtin_registry, to_si
+from .materials import Material
 from .multimorph import (
     CurvatureSolution,
     EquivalentSection,
@@ -23,7 +23,6 @@ from .multimorph import (
 from .scanner import (
     ScannerGeometry,
     ScannerSolution,
-    internal_loads,
     max_deflection,
     profile_half,
     profile_half_slope,
@@ -35,9 +34,6 @@ from .sweep import ScanConfig, SweepRecord, SweepSpec, optimize_1d, reference_co
 
 __all__ = [
     "Material",
-    "MaterialRegistry",
-    "builtin_registry",
-    "to_si",
     "CurvatureSolution",
     "EquivalentSection",
     "MultimorphStack",
@@ -51,7 +47,6 @@ __all__ = [
     "tip_deflection_closed_form",
     "ScannerGeometry",
     "ScannerSolution",
-    "internal_loads",
     "max_deflection",
     "profile_half",
     "profile_half_slope",

@@ -22,6 +22,7 @@ from .config import ConfigError, parse_config
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
+MAX_SAMPLES = 2_000_001  # bounds the profile's memory; 10x the largest benchmarked profile
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,15 +64,16 @@ def _load_config(path: str) -> sweep_mod.ScanConfig:
     return parse_config(text)
 
 
+def _cells(values: list[float]) -> list[str]:
+    """Format results in CSV units; a finite SI result can still overflow in the scaling."""
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"a result overflows in CSV units: {', '.join(map(_fmt, values))}")
+    return [_fmt(value) for value in values]
+
+
 def _model_row(solution: scanner.ScannerSolution) -> list[str]:
-    return [
-        _fmt(math.degrees(solution.tilt)),
-        _fmt(solution.y_max * 1e6),
-        _fmt(solution.x_at_ymax * 1e6),
-        _fmt(abs(solution.force) * 1e6),
-        _fmt(solution.reaction * 1e6),
-        _fmt(solution.rigidity),
-    ]
+    return _cells([math.degrees(solution.tilt), solution.y_max * 1e6, solution.x_at_ymax * 1e6,
+                   abs(solution.force) * 1e6, solution.reaction * 1e6, solution.rigidity])
 
 
 def _cmd_model(args) -> int:
@@ -87,9 +89,10 @@ def _cmd_model(args) -> int:
 
 def _cmd_profile(args) -> int:
     config = _load_config(args.config)
-    if args.samples < 2:
-        raise ConfigError("--samples must be >= 2")
+    if not 2 <= args.samples <= MAX_SAMPLES:
+        raise ConfigError(f"--samples must be in [2, {MAX_SAMPLES}]")
     solution = config.solve(samples=args.samples)
+    _model_row(solution)  # every |y| is at most y_max: this bounds the rows in CSV units too
     rows = [[_fmt(u * 1e6), _fmt(y * 1e6)] for u, y in solution.profile]
     _write_atomic(args.out, _csv("x_um,y_um", rows))
     return EXIT_OK
@@ -98,21 +101,18 @@ def _cmd_profile(args) -> int:
 def _sweep_rows(axis: str, records: list[sweep_mod.SweepRecord]) -> list[list[str]]:
     rows = []
     for rec in records:
+        status = rec.status
         if rec.ok:
-            rows.append(
-                [
-                    axis,
-                    _fmt(rec.param_value),
-                    _fmt(rec.tilt_deg),
-                    _fmt(rec.y_max_m * 1e6),
-                    _fmt(abs(rec.force_N) * 1e6),
-                    _fmt(rec.reaction_N * 1e6),
-                    "ok",
-                ]
-            )
+            try:
+                cells = _cells([rec.tilt_deg, rec.y_max_m * 1e6, abs(rec.force_N) * 1e6,
+                                rec.reaction_N * 1e6])
+            except ValueError as exc:
+                status = str(exc)
+        if status == "ok":
+            rows.append([axis, _fmt(rec.param_value), *cells, "ok"])
         else:
             rows.append([axis, _fmt(rec.param_value), "nan", "nan", "nan", "nan",
-                         "error: " + rec.status.replace(",", ";")])
+                         "error: " + status.replace(",", ";")])
     return rows
 
 
@@ -128,9 +128,9 @@ def _cmd_sweep(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    records = sweep_mod.run_sweep(spec)
-    _write_atomic(args.out, _csv(_SWEEP_HEADER, _sweep_rows(args.axis, records)))
-    if not all(rec.ok for rec in records):
+    rows = _sweep_rows(args.axis, sweep_mod.run_sweep(spec))
+    _write_atomic(args.out, _csv(_SWEEP_HEADER, rows))
+    if not all(row[-1] == "ok" for row in rows):
         print("numeric: some sweep points failed; see the status column", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK

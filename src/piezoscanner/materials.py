@@ -1,7 +1,7 @@
-"""Material properties and unit conversion for the scanner model.
+"""Material constants of the scanner model, in SI base units.
 
-All model computation happens in SI base units. The unit suffixes defined
-here exist only at the config/CSV boundary.
+Engineering units exist only in the config keys, whose SI scales are
+declared in :mod:`piezoscanner.config`.
 """
 
 from __future__ import annotations
@@ -9,32 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-class UnsupportedUnitError(ValueError):
-    pass
-
-
 class UnknownMaterialError(ValueError):
     pass
-
-
-# Scale factors to SI base units.
-_UNIT_SCALE = {
-    "um": 1e-6,
-    "GPa": 1e9,
-    "pm_per_V": 1e-12,
-    "V": 1.0,
-    "per_TPa": 1e-12,
-}
-
-
-def to_si(value: float, unit: str) -> float:
-    """Convert a magnitude in the given engineering unit to SI base units."""
-    try:
-        return value * _UNIT_SCALE[unit]
-    except KeyError:
-        raise UnsupportedUnitError(
-            f"unsupported unit {unit!r}; supported: {sorted(_UNIT_SCALE)}"
-        ) from None
 
 
 @dataclass(frozen=True)
@@ -42,7 +18,7 @@ class Material:
     """Elastic (and optionally piezoelectric) constants of one constituent.
 
     Attributes:
-        name: label used for registry lookup and reporting.
+        name: label used for built-in lookup and reporting.
         young_modulus: Young's modulus (Pa).
         d31: transverse piezoelectric strain coefficient (m/V); None for
             passive materials. Conventionally negative for PZT.
@@ -67,32 +43,6 @@ class Material:
                 )
 
 
-class MaterialRegistry:
-    """Name -> Material map with case-insensitive lookup."""
-
-    def __init__(self, materials: list[Material] = ()):
-        self._entries: dict[str, Material] = {}
-        for m in materials:
-            self.add(m)
-
-    def add(self, material: Material) -> None:
-        key = material.name.lower()
-        if key in self._entries:
-            raise ValueError(f"duplicate material name {material.name!r}")
-        self._entries[key] = material
-
-    def lookup(self, name: str) -> Material:
-        try:
-            return self._entries[name.lower()]
-        except KeyError:
-            raise UnknownMaterialError(
-                f"unknown material {name!r}; available: {sorted(self._entries)}"
-            ) from None
-
-    def names(self) -> list[str]:
-        return sorted(self._entries)
-
-
 # Documented default constants. These are standard datasheet values; they are
 # assumptions of this model and can be overridden through the config file.
 # s11E is stored as the exact reciprocal of E (datasheet 16.5 per TPa rounds
@@ -102,17 +52,18 @@ PZT5H_E = 60.6e9
 PZT5H_D31 = -274e-12
 PZT5H_S11E = 1.0 / PZT5H_E
 
+# Built-in materials by lower-case name.
+BUILTIN = {
+    "silicon": Material(name="silicon", young_modulus=SILICON_E),
+    "pzt-5h": Material(name="pzt-5h", young_modulus=PZT5H_E, d31=PZT5H_D31, s11E=PZT5H_S11E),
+}
 
-def builtin_registry() -> MaterialRegistry:
-    """Registry with the built-in silicon and PZT-5H defaults."""
-    return MaterialRegistry(
-        [
-            Material(name="silicon", young_modulus=SILICON_E),
-            Material(
-                name="pzt-5h",
-                young_modulus=PZT5H_E,
-                d31=PZT5H_D31,
-                s11E=PZT5H_S11E,
-            ),
-        ]
-    )
+
+def lookup(name: str) -> Material:
+    """The built-in material of that name, ignoring case."""
+    try:
+        return BUILTIN[name.lower()]
+    except KeyError:
+        raise UnknownMaterialError(
+            f"unknown material {name!r}; available: {sorted(BUILTIN)}"
+        ) from None

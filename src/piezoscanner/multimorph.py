@@ -23,6 +23,14 @@ class SingularSystemError(ValueError):
     pass
 
 
+class OutOfRangeError(ValueError):
+    """Float overflow or division by zero in a model stage: the design is
+    outside double-precision range."""
+
+    def __init__(self, stage: str, exc: ArithmeticError):
+        super().__init__(f"{stage}: {exc}; the design is outside double-precision range")
+
+
 @dataclass(frozen=True)
 class MultimorphStack:
     """Geometry and constants of the substrate + 2 piezo layer stack.
@@ -110,11 +118,13 @@ def _assemble_system(stack: MultimorphStack, voltage: float):
 
 def solve_curvature(stack: MultimorphStack, voltage: float) -> CurvatureSolution:
     """Solve for the layer force resultants and the beam curvature."""
-    a, b = _assemble_system(stack, voltage)
     try:
+        a, b = _assemble_system(stack, voltage)
         p1, p2, p3, kappa = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"degenerate stack: {exc}") from exc
+    except ArithmeticError as exc:
+        raise OutOfRangeError("curvature solve", exc) from exc
     return CurvatureSolution(p1=float(p1), p2=float(p2), p3=float(p3), kappa=float(kappa))
 
 
@@ -170,14 +180,16 @@ def equivalent_section(stack: MultimorphStack, e_ref_choice: str = "max") -> Equ
     else:
         e_ref = max(stack.substrate_E, stack.piezo_E)
 
-    # Stiffness-scaled layer areas per unit width; width cancels in h_eq.
-    areas = [e / e_ref * t for e, t in zip(moduli, thicknesses)]
-    h_eq = sum(s * h for s, h in zip(areas, mid_heights)) / sum(areas)
-
-    i_eq = stack.width * sum(
-        e / e_ref * (t**3 / 12 + t * (h_eq - h) ** 2)
-        for e, t, h in zip(moduli, thicknesses, mid_heights)
-    )
+    try:
+        # Stiffness-scaled layer areas per unit width; width cancels in h_eq.
+        areas = [e / e_ref * t for e, t in zip(moduli, thicknesses)]
+        h_eq = sum(s * h for s, h in zip(areas, mid_heights)) / sum(areas)
+        i_eq = stack.width * sum(
+            e / e_ref * (t**3 / 12 + t * (h_eq - h) ** 2)
+            for e, t, h in zip(moduli, thicknesses, mid_heights)
+        )
+    except ArithmeticError as exc:
+        raise OutOfRangeError("equivalent section", exc) from exc
     return EquivalentSection(h_eq=h_eq, i_eq=i_eq, e_ref=e_ref, rigidity=e_ref * i_eq)
 
 
@@ -187,7 +199,10 @@ def equivalent_force(stack: MultimorphStack, voltage: float) -> float:
     F = 3 * rigidity / L^3 * y_tip. Signed: follows the sign of d31 * V.
     """
     rigidity = equivalent_section(stack).rigidity
-    return 3 * rigidity / stack.length**3 * tip_deflection(stack, voltage)
+    try:
+        return 3 * rigidity / stack.length**3 * tip_deflection(stack, voltage)
+    except ArithmeticError as exc:
+        raise OutOfRangeError("equivalent force", exc) from exc
 
 
 def equivalent_force_closed_form(stack: MultimorphStack, voltage: float) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .multimorph import MultimorphStack, equivalent_force, equivalent_section
+from .multimorph import MultimorphStack, OutOfRangeError, equivalent_force, equivalent_section
 
 
 class DegenerateGeometryError(ValueError):
@@ -75,21 +75,6 @@ def reaction(force: float, a: float, span: float) -> float:
     """Redundant reaction at the mirror-center support."""
     _check_span(a, span)
     return -force * (a**3 - 3 * a * span**2 + 2 * span**3) / (2 * span**3 - 2 * a**3)
-
-
-def internal_loads(x: float, force: float, a: float, span: float) -> tuple[float, float]:
-    """Shear and bending moment at x, for the signed junction load.
-
-    Moment from statics of the portion left of the cut:
-    M = R_A * x on the mirror segment, M = R_A * x + F * (x - a) beyond the
-    junction. Shear is -dM/dx, so it jumps by -F at the junction.
-    """
-    if not 0 <= x <= span:
-        raise ValueError(f"x={x} outside [0, {span}]")
-    r_a = reaction(force, a, span)
-    if x <= a:
-        return -r_a, r_a * x
-    return -(r_a + force), r_a * x + force * (x - a)
 
 
 def _profile_denominator(a: float, span: float, rigidity: float) -> float:
@@ -204,10 +189,13 @@ def solve_scanner(geometry: ScannerGeometry, voltage: float, samples: int = 401)
     a, span = geometry.a, geometry.half_span
     force = equivalent_force(geometry.stack, voltage)
     rigidity = equivalent_section(geometry.stack).rigidity
-    r_a = reaction(force, a, span)
-    tilt_signed = tilt(force, a, span, rigidity)
-    y_max, x_at = max_deflection(force, a, span, rigidity)
-    y_at = profile_half(x_at, force, a, span, rigidity)
+    try:
+        r_a = reaction(force, a, span)
+        tilt_signed = tilt(force, a, span, rigidity)
+        y_max, x_at = max_deflection(force, a, span, rigidity)
+        y_at = profile_half(x_at, force, a, span, rigidity)
+    except ArithmeticError as exc:
+        raise OutOfRangeError("half-beam statics", exc) from exc
     # Finite inputs can still overflow; no non-finite result may leave the model.
     for name, value in (("force", force), ("rigidity", rigidity), ("reaction", r_a),
                         ("tilt", tilt_signed), ("y_max", y_max)):

@@ -137,6 +137,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
 
 _OBJECTIVES = ("tilt", "y_max")
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_REL_TOL = 1e-4  # golden-section stop: bracket width relative to the larger |bound|
 
 
 def _objective_value(spec: SweepSpec, objective: str, value: float) -> float:
@@ -146,9 +147,7 @@ def _objective_value(spec: SweepSpec, objective: str, value: float) -> float:
     return rec.tilt_deg if objective == "tilt" else rec.y_max_m
 
 
-def optimize_1d(
-    spec: SweepSpec, objective: str = "tilt", rel_tol: float = 1e-4
-) -> tuple[float, float]:
+def optimize_1d(spec: SweepSpec, objective: str = "tilt") -> tuple[float, float]:
     """Maximize tilt or y_max over one axis.
 
     Coarse grid scan on spec.steps points, then golden-section refinement
@@ -183,7 +182,7 @@ def optimize_1d(
     fc = _objective_value(spec, objective, c)
     fd = _objective_value(spec, objective, d)
     scale = max(abs(lo), abs(hi), 1e-30)
-    while (b - a) > rel_tol * scale:
+    while (b - a) > _REL_TOL * scale:
         if fc > fd or (fc == fd and c < d):
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -203,9 +202,7 @@ def optimize_1d(
 TABLE1_BEAM_LENGTHS = (850e-6, 600e-6, 500e-6)
 
 
-def table1(base: ScanConfig | None = None) -> list[SweepRecord]:
+def table1() -> list[SweepRecord]:
     """The three reference designs: 850/600/500 um beams, 30 um wide, 50 V."""
-    if base is None:
-        base = reference_config()
-    spec = SweepSpec(base=base, axis="beam_length", start=500e-6, stop=850e-6, steps=2)
+    spec = SweepSpec(base=reference_config(), axis="beam_length", start=500e-6, stop=850e-6, steps=2)
     return [evaluate_point(spec, length) for length in TABLE1_BEAM_LENGTHS]

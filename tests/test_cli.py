@@ -42,17 +42,26 @@ class TestParseConfig:
         config = parse_config(SCANNER_A_CFG)
         assert config.substrate_E == 169e9
         assert config.d31 == -274e-12
-        assert config.beam_length == pytest.approx(850e-6)
+        # every _um key scales by 1e-6
+        assert config.beam_length == pytest.approx(850e-6, rel=1e-15)
+        assert config.beam_width == pytest.approx(30e-6, rel=1e-15)
+        assert config.substrate_t == pytest.approx(5e-6, rel=1e-15)
+        assert config.piezo_t == pytest.approx(1e-6, rel=1e-15)
+        assert config.mirror_side == pytest.approx(300e-6, rel=1e-15)
         assert config.voltage == 50.0
 
     def test_explicit_constants(self):
-        text = SCANNER_A_CFG.replace(
+        text = SCANNER_A_CFG.replace("name = silicon", "E_GPa = 169").replace(
             "[material.piezo]\nname = pzt-5h",
-            "[material.piezo]\nE_GPa = 60.6\nd31_pm_per_V = -274",
+            "[material.piezo]\nE_GPa = 60.6\nd31_pm_per_V = -274\ns11E_per_TPa = 16.5016502",
         )
         config = parse_config(text)
-        assert config.piezo_E == pytest.approx(60.6e9)
-        assert config.d31 == pytest.approx(-274e-12)
+        assert config.substrate_E == pytest.approx(169e9, rel=1e-15)
+        assert config.piezo_E == pytest.approx(60.6e9, rel=1e-15)
+        assert config.d31 == pytest.approx(-274e-12, rel=1e-15)
+        # s11E is checked, not kept: 16.5016502 per TPa passes E * s11E = 1 only at 1e-12 scale.
+        with pytest.raises(ConfigError, match="reciprocal"):
+            parse_config(text.replace("16.5016502", "16.5016502e3"))
 
     def test_name_and_constants_rejected(self):
         text = SCANNER_A_CFG.replace(
@@ -145,6 +154,13 @@ class TestProfileCommand:
         assert float(rows[-1][1]) == 0.0  # right anchor
         assert float(rows[2][0]) == pytest.approx(1000.0)
 
+    def test_samples_bounded(self, config_path, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        assert run(["profile", "--config", config_path, "--samples", "1000000000000",
+                    "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config: --samples")
+        assert not out.exists()
+
     def test_byte_stable(self, config_path, tmp_path):
         out1 = str(tmp_path / "p1.csv")
         out2 = str(tmp_path / "p2.csv")
@@ -224,27 +240,62 @@ class TestVerifyCommand:
 class TestNonFiniteResults:
     """Finite inputs whose results overflow fail with exit 2, never print nan or inf."""
 
+    # Scanner A at 1.55e224 V with 3.28e88 um wide beams: finite SI results, inf in uN.
+    CSV_UNIT_OVERFLOW = {"voltage_V = 50": "voltage_V = 1.55e224",
+                         "beam_width_um = 30": "beam_width_um = 3.28e88"}
+
     @pytest.mark.parametrize(
-        "line, bad, argv",
+        "edits, argv, reason",
         [
-            ("name = silicon", "E_GPa = 1e300", ["model"]),
-            ("voltage_V = 50", "voltage_V = 1e308", ["profile", "--samples", "5"]),
-            ("", "", ["sweep", "--axis", "voltage", "--from=1e307", "--to=1.7e308", "--steps", "3"]),
+            ({"name = silicon": "E_GPa = 1e300"}, ["model"], "non-finite force"),
+            ({"voltage_V = 50": "voltage_V = 1e308"}, ["profile", "--samples", "5"],
+             "non-finite force"),
+            ({}, ["sweep", "--axis", "voltage", "--from=1e307", "--to=1.7e308", "--steps", "3"],
+             "non-finite force"),
+            ({"piezo_thickness_um = 1\n": "piezo_thickness_um = 1e300\n"}, ["model"],
+             "equivalent section: (34"),
+            ({"beam_length_um = 850": "beam_length_um = 1e-210"}, ["model"],
+             "equivalent force: float division by zero"),
+            ({"mirror_side_um = 300": "mirror_side_um = 2e109",
+              "beam_length_um = 850": "beam_length_um = 1e95"}, ["model"], "half-beam statics: (34"),
+            ({}, ["sweep", "--axis", "piezo_thickness", "--from=1e-6", "--to=1e300", "--steps", "3"],
+             "equivalent section: (34"),
+            (CSV_UNIT_OVERFLOW, ["model"], "overflows in CSV units"),
+            ({"name = silicon": "E_GPa = 1.08e-3", "beam_length_um = 850": "beam_length_um = 904000",
+              "beam_width_um = 30": "beam_width_um = 132000",
+              "substrate_thickness_um = 5": "substrate_thickness_um = 0.0036",
+              "piezo_thickness_um = 1\n": "piezo_thickness_um = 0.00324\n",
+              "voltage_V = 50": "voltage_V = 1.96e300"}, ["profile", "--samples", "5"],
+             "overflows in CSV units"),
+            (CSV_UNIT_OVERFLOW, ["sweep", "--axis", "voltage", "--from=1", "--to=1.55e224",
+                                 "--steps", "2"], "overflows in CSV units"),
         ],
-        ids=["model-E", "profile-voltage", "sweep-voltage"],
+        ids=["model-E", "profile-voltage", "sweep-voltage", "model-piezo-thickness",
+             "model-beam-length", "model-mirror-side", "sweep-piezo-thickness",
+             "model-csv-units", "profile-csv-units", "sweep-csv-units"],
     )
-    def test_overflow_fails(self, tmp_path, capsys, line, bad, argv):
+    def test_overflow_fails(self, tmp_path, capsys, edits, argv, reason):
+        text = SCANNER_A_CFG
+        for old, new in edits.items():
+            text = text.replace(old, new)
         cfg = tmp_path / "overflow.cfg"
-        cfg.write_text(SCANNER_A_CFG.replace(line, bad) if line else SCANNER_A_CFG)
+        cfg.write_text(text)
         out = tmp_path / "out.csv"
         assert run([argv[0], "--config", str(cfg), *argv[1:], "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("numeric:")
         assert "nan" not in captured.out and "inf" not in captured.out
-        if out.exists():
-            for row in out.read_text().splitlines()[1:]:
-                if row.endswith(",ok"):
-                    assert "nan" not in row and "inf" not in row
+        if argv[0] != "sweep":
+            assert reason in captured.err
+            return
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == int(argv[argv.index("--steps") + 1])
+        assert any(reason in row for row in rows if ",error: " in row)
+        for row in rows:
+            if row.endswith(",ok"):
+                assert "nan" not in row and "inf" not in row
+            else:
+                assert ",error: " in row
 
 
 def test_cli_import_loads_no_scipy():

@@ -2,39 +2,33 @@ import math
 
 import pytest
 
-from piezoscanner.materials import (
-    Material,
-    UnknownMaterialError,
-    UnsupportedUnitError,
-    builtin_registry,
-    to_si,
-)
+from piezoscanner.materials import BUILTIN, Material, UnknownMaterialError, lookup
 
 
 class TestRegistry:
     def test_silicon_default(self):
-        m = builtin_registry().lookup("silicon")
+        m = lookup("silicon")
         assert m.young_modulus == 169e9
         assert m.d31 is None
 
     def test_pzt5h_default(self):
-        m = builtin_registry().lookup("pzt-5h")
+        m = lookup("pzt-5h")
         assert m.young_modulus == 60.6e9
         assert m.d31 == -274e-12
         # datasheet compliance, stored as the exact reciprocal of E
         assert m.s11E == pytest.approx(16.5e-12, rel=1e-3)
 
     def test_lookup_is_case_insensitive(self):
-        reg = builtin_registry()
-        assert reg.lookup("PZT-5H") is reg.lookup("pzt-5h")
+        assert lookup("PZT-5H") is lookup("pzt-5h")
 
     def test_unknown_material_names_available_entries(self):
-        with pytest.raises(UnknownMaterialError, match="silicon"):
-            builtin_registry().lookup("unobtainium")
+        with pytest.raises(UnknownMaterialError,
+                           match=r"^unknown material 'unobtainium'; available: \['pzt-5h', 'silicon'\]$"):
+            lookup("unobtainium")
 
     def test_reciprocal_invariant_for_all_entries(self):
-        for name in builtin_registry().names():
-            m = builtin_registry().lookup(name)
+        for name, m in BUILTIN.items():
+            assert m.name == name
             if m.s11E is not None:
                 assert abs(m.young_modulus * m.s11E - 1.0) <= 1e-6
 
@@ -51,23 +45,3 @@ class TestMaterialValidation:
 
     def test_negative_d31_allowed(self):
         Material(name="pzt", young_modulus=60e9, d31=-274e-12)
-
-
-@pytest.mark.parametrize(
-    "value, unit, expected",
-    [
-        (5, "um", 5e-6),
-        (169, "GPa", 1.69e11),
-        (-274, "pm_per_V", -2.74e-10),
-        (50, "V", 50.0),
-        (16.5, "per_TPa", 16.5e-12),
-    ],
-)
-def test_to_si(value, unit, expected):
-    assert to_si(value, unit) == pytest.approx(expected, rel=1e-15)
-
-
-def test_unsupported_unit():
-    with pytest.raises(UnsupportedUnitError):
-        to_si(1.0, "furlong")
-

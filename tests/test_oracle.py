@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import piezoscanner
 from piezoscanner import oracle, scanner
 from piezoscanner.oracle import (
     BeamProblem,
@@ -113,6 +117,19 @@ class TestConvergence:
     def test_zero_force_all_zero(self):
         problem = BeamProblem(span=SPAN, a=A, force=0.0, rigidity=RIGIDITY)
         assert convergence_study(problem, [101, 201]) == [0.0, 0.0]
+
+    def test_convergence_script(self):
+        src = os.path.dirname(os.path.dirname(piezoscanner.__file__))
+        script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "oracle_convergence.py")
+        result = subprocess.run(
+            [sys.executable, script], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        rows = [line.split() for line in result.stdout.splitlines()[1:]]
+        orders = [float(row[2]) for row in rows if len(row) == 3]
+        assert len(rows) == 5 and len(orders) == 4
+        assert min(orders) >= 1.8
 
 
 class TestFiniteRigidity:

@@ -9,7 +9,6 @@ from piezoscanner import scanner
 from piezoscanner.scanner import (
     DegenerateGeometryError,
     ScannerGeometry,
-    internal_loads,
     max_deflection,
     profile_half,
     profile_half_slope,
@@ -18,7 +17,7 @@ from piezoscanner.scanner import (
     tilt,
 )
 
-from conftest import REFERENCE_STACK
+from conftest import REFERENCE_STACK, drive_voltages, physical_stacks
 
 # Scanner A: reference stack, 300 um mirror, 50 V. Frozen values computed by
 # evaluating the reaction/tilt/extremum formulas independently (quadratic
@@ -68,35 +67,6 @@ class TestReaction:
             reaction(1.0, SPAN, SPAN)
         with pytest.raises(DegenerateGeometryError):
             reaction(1.0, 2 * SPAN, SPAN)
-
-
-class TestInternalLoads:
-    def test_zero_force(self):
-        for x in (0.0, A, SPAN / 2, SPAN):
-            assert internal_loads(x, 0.0, A, SPAN) == (0.0, 0.0)
-
-    def test_no_moment_at_support(self):
-        _, m = internal_loads(0.0, FORCE, A, SPAN)
-        assert m == 0.0
-
-    def test_midspan_quarter_point(self):
-        f = 1.0
-        _, m = internal_loads(SPAN / 4, f, SPAN / 2, SPAN)
-        assert m == pytest.approx(-5 / 56 * f * SPAN, rel=1e-12)
-
-    def test_moment_continuous_at_junction(self):
-        _, m_left = internal_loads(A, FORCE, A, SPAN)
-        _, m_right = internal_loads(A * (1 + 1e-12), FORCE, A, SPAN)
-        assert m_right == pytest.approx(m_left, rel=1e-9)
-
-    def test_shear_jump_equals_load(self):
-        t_left, _ = internal_loads(A / 2, FORCE, A, SPAN)
-        t_right, _ = internal_loads((A + SPAN) / 2, FORCE, A, SPAN)
-        assert t_right - t_left == pytest.approx(-FORCE, rel=1e-12)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            internal_loads(-1e-6, FORCE, A, SPAN)
 
 
 class TestProfile:
@@ -255,3 +225,17 @@ class TestSolveScanner:
         assert sol.profile[last // 2] == (span, 0.0)
         for (_, y1), (_, y2) in zip(sol.profile, reversed(sol.profile)):
             assert y1 == -y2
+
+    @given(
+        stack=physical_stacks(d31_nonzero=True),
+        mirror_side=st.floats(min_value=50e-6, max_value=1000e-6),
+        voltage=drive_voltages().filter(lambda v: v != 0.0),
+    )
+    def test_physical_design_finite_and_signed(self, stack, mirror_side, voltage):
+        sol = solve_scanner(ScannerGeometry(stack=stack, mirror_side=mirror_side), voltage, samples=41)
+        values = [sol.force, sol.rigidity, sol.reaction, sol.tilt, sol.y_max]
+        assert all(map(math.isfinite, values + [y for _, y in sol.profile]))
+        sign = math.copysign(1.0, stack.d31 * voltage)
+        assert math.copysign(1.0, sol.force) == sign and sol.force != 0.0
+        assert math.copysign(1.0, sol.tilt_signed) == sign and sol.tilt_signed != 0.0
+        assert math.copysign(1.0, sol.reaction) == -sign and sol.reaction != 0.0
