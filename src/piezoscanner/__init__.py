@@ -7,19 +7,7 @@ sweeps/optimizes the geometry for scan angle.
 """
 
 from .materials import Material
-from .multimorph import (
-    CurvatureSolution,
-    EquivalentSection,
-    MultimorphStack,
-    Strains,
-    equivalent_force,
-    equivalent_force_closed_form,
-    equivalent_section,
-    piezo_strains,
-    solve_curvature,
-    tip_deflection,
-    tip_deflection_closed_form,
-)
+from .multimorph import EquivalentSection, MultimorphStack, equivalent_force, equivalent_section
 from .scanner import (
     ScannerGeometry,
     ScannerSolution,
@@ -34,17 +22,10 @@ from .sweep import ScanConfig, SweepRecord, SweepSpec, optimize_1d, reference_co
 
 __all__ = [
     "Material",
-    "CurvatureSolution",
     "EquivalentSection",
     "MultimorphStack",
-    "Strains",
     "equivalent_force",
-    "equivalent_force_closed_form",
     "equivalent_section",
-    "piezo_strains",
-    "solve_curvature",
-    "tip_deflection",
-    "tip_deflection_closed_form",
     "ScannerGeometry",
     "ScannerSolution",
     "max_deflection",

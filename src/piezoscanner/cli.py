@@ -14,9 +14,7 @@ import os
 import sys
 import tempfile
 
-import numpy as np
-
-from . import materials, multimorph, oracle, scanner, sweep as sweep_mod
+from . import materials, scanner, sweep as sweep_mod
 from .config import ConfigError, parse_config
 
 EXIT_OK = 0
@@ -147,85 +145,11 @@ def _cmd_table1(args) -> int:
     return EXIT_OK
 
 
-def _random_stack(rng: np.random.Generator) -> multimorph.MultimorphStack:
-    return multimorph.MultimorphStack(
-        substrate_E=rng.uniform(10e9, 500e9),
-        substrate_t=rng.uniform(0.2e-6, 20e-6),
-        piezo_E=rng.uniform(10e9, 500e9),
-        piezo_t=rng.uniform(0.2e-6, 20e-6),
-        d31=-rng.uniform(10e-12, 500e-12),
-        width=rng.uniform(5e-6, 200e-6),
-        length=rng.uniform(100e-6, 2000e-6),
-    )
-
-
-def _verify_checks(nodes: int):
-    """Yield (name, residual, tolerance) for the whole verification suite."""
-    cfg = sweep_mod.reference_config()
-    geometry = cfg.geometry()
-    force = multimorph.equivalent_force(geometry.stack, cfg.voltage)
-    rigidity = multimorph.equivalent_section(geometry.stack).rigidity
-    a, span = geometry.a, geometry.half_span
-
-    problem = oracle.BeamProblem(span=span, a=a, force=force, rigidity=rigidity, nodes=nodes)
-    fd = oracle.solve_fd(problem)
-    r_closed = scanner.reaction(force, fd.a_snapped, span)
-    yield "oracle_reaction", abs(fd.reaction - r_closed) / abs(r_closed), 5e-3
-    yield "oracle_profile_maxnorm", oracle.profile_error(problem, fd), 5e-3
-    tilt_closed = abs(scanner.tilt(force, fd.a_snapped, span, rigidity))
-    yield "oracle_tilt", abs(fd.tilt() - tilt_closed) / tilt_closed, 5e-3
-
-    counts = [101, 201, 401]
-    orders = oracle.convergence_orders(counts, oracle.convergence_study(problem, counts))
-    yield "oracle_convergence_order", 1.8 - min(orders), 0.0
-
-    half = oracle.BeamProblem(span=span, a=span / 2, force=force, rigidity=rigidity, nodes=nodes)
-    fd_half = oracle.solve_fd(half)
-    target = -5 * force / 14
-    yield "oracle_midspan_reaction", abs(fd_half.reaction - target) / abs(target), 5e-3
-
-    rng = np.random.default_rng(20260824)
-    worst_identity = 0.0
-    worst_norm = 0.0
-    for _ in range(1000):
-        stack = _random_stack(rng)
-        voltage = rng.uniform(1.0, 100.0) * rng.choice([-1.0, 1.0])
-        f_pipeline = multimorph.equivalent_force(stack, voltage)
-        f_closed = multimorph.equivalent_force_closed_form(stack, voltage)
-        worst_identity = max(worst_identity, abs(f_pipeline - f_closed) / abs(f_closed))
-        rigs = [multimorph.equivalent_section(stack, choice).rigidity
-                for choice in ("substrate", "piezo", "max")]
-        worst_norm = max(worst_norm, (max(rigs) - min(rigs)) / max(rigs))
-    yield "closed_form_identity", worst_identity, 1e-10
-    yield "normalization_independence", worst_norm, 1e-12
-
-    worst_profile = 0.0
-    for _ in range(100):
-        stack = _random_stack(rng)
-        voltage = rng.uniform(1.0, 100.0) * rng.choice([-1.0, 1.0])
-        f = multimorph.equivalent_force_closed_form(stack, voltage)
-        rig = multimorph.equivalent_section(stack).rigidity
-        aa = rng.uniform(10e-6, 500e-6)
-        sp = aa + stack.length
-        y_max, _ = scanner.max_deflection(f, aa, sp, rig)
-        res = max(
-            abs(scanner.profile_half(0.0, f, aa, sp, rig)),
-            abs(scanner.profile_half(sp, f, aa, sp, rig)),
-            abs(scanner.profile_half_slope(sp, f, aa, sp, rig)) * sp,
-            abs(scanner._mirror_branch(aa, f, aa, sp, rig)
-                - scanner._beam_branch(aa, f, aa, sp, rig)),
-            abs(scanner._mirror_branch_slope(f, aa, sp, rig)
-                - scanner._beam_branch_slope(aa, f, aa, sp, rig)) * sp,
-            abs(math.tan(abs(scanner.tilt(f, aa, sp, rig)))
-                - abs(scanner.profile_half_slope(0.0, f, aa, sp, rig))) * sp,
-        )
-        worst_profile = max(worst_profile, res / y_max)
-    yield "profile_invariants", worst_profile, 1e-12
-
-
 def _cmd_verify(args) -> int:
     if args.nodes < 11 or args.nodes % 2 == 0:
         raise ConfigError("--nodes must be odd and >= 11")
+    from . import verification  # numpy loads only for verify
+
     print(
         "assumed constants: "
         f"silicon E={_fmt(materials.SILICON_E)} Pa, "
@@ -233,7 +157,7 @@ def _cmd_verify(args) -> int:
         f"d31={_fmt(materials.PZT5H_D31)} m/V s11E={_fmt(materials.PZT5H_S11E)} 1/Pa"
     )
     failures = 0
-    for name, residual, tol in _verify_checks(args.nodes):
+    for name, residual, tol in verification.checks(args.nodes):
         ok = residual <= tol
         failures += 0 if ok else 1
         print(f"{name}: residual={_fmt(residual)} tol={_fmt(tol)} {'PASS' if ok else 'FAIL'}")

@@ -35,6 +35,9 @@ class ScannerGeometry:
     def __post_init__(self) -> None:
         if not self.mirror_side > 0:
             raise ValueError("mirror_side must be > 0")
+        if not self.a < self.half_span:
+            raise OutOfRangeError("half span", f"a + L rounds to a for a beam length of "
+                                  f"{self.stack.length} m and a mirror side of {self.mirror_side} m")
 
     @property
     def a(self) -> float:
@@ -49,10 +52,9 @@ class ScannerGeometry:
 class ScannerSolution:
     """Static response of the scanner at one drive voltage.
 
-    tilt and y_max are magnitudes; tilt_signed and y_signed_at_max keep the
-    orientation. profile is the full-device (u, y) sampling with u in
-    [0, 2 * half_span], anchors at the ends and the mirror center at
-    u = half_span.
+    tilt and y_max are magnitudes; tilt_signed keeps the orientation.
+    profile is the full-device (u, y) sampling with u in [0, 2 * half_span],
+    anchors at the ends and the mirror center at u = half_span.
     """
 
     force: float
@@ -61,7 +63,6 @@ class ScannerSolution:
     tilt_signed: float
     y_max: float
     x_at_ymax: float
-    y_signed_at_max: float
     rigidity: float
     profile: list[tuple[float, float]] = field(repr=False)
 
@@ -193,7 +194,6 @@ def solve_scanner(geometry: ScannerGeometry, voltage: float, samples: int = 401)
         r_a = reaction(force, a, span)
         tilt_signed = tilt(force, a, span, rigidity)
         y_max, x_at = max_deflection(force, a, span, rigidity)
-        y_at = profile_half(x_at, force, a, span, rigidity)
     except ArithmeticError as exc:
         raise OutOfRangeError("half-beam statics", exc) from exc
     # Finite inputs can still overflow; no non-finite result may leave the model.
@@ -232,7 +232,6 @@ def solve_scanner(geometry: ScannerGeometry, voltage: float, samples: int = 401)
         tilt_signed=tilt_signed,
         y_max=y_max,
         x_at_ymax=x_at,
-        y_signed_at_max=y_at,
         rigidity=rigidity,
         profile=profile,
     )

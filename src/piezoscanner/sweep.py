@@ -105,9 +105,10 @@ class SweepRecord:
         return self.status == "ok"
 
 
-def evaluate_point(spec: SweepSpec, value: float) -> SweepRecord:
+def evaluate_point(config: ScanConfig, value: float) -> SweepRecord:
+    """Solve one design; value is the swept parameter it is recorded under."""
     try:
-        sol = spec.with_value(value).solve(samples=3)
+        sol = config.solve(samples=3)
     except ValueError as exc:
         return SweepRecord(
             param_value=value, tilt_deg=math.nan, y_max_m=math.nan,
@@ -132,7 +133,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     step = (spec.stop - spec.start) / (spec.steps - 1)
     values = [spec.start + i * step for i in range(spec.steps)]
     values[-1] = spec.stop
-    return [evaluate_point(spec, v) for v in values]
+    return [evaluate_point(spec.with_value(v), v) for v in values]
 
 
 _OBJECTIVES = ("tilt", "y_max")
@@ -141,7 +142,7 @@ _REL_TOL = 1e-4  # golden-section stop: bracket width relative to the larger |bo
 
 
 def _objective_value(spec: SweepSpec, objective: str, value: float) -> float:
-    rec = evaluate_point(spec, value)
+    rec = evaluate_point(spec.with_value(value), value)
     if not rec.ok:
         raise ValueError(f"objective undefined at {value}: {rec.status}")
     return rec.tilt_deg if objective == "tilt" else rec.y_max_m
@@ -204,5 +205,5 @@ TABLE1_BEAM_LENGTHS = (850e-6, 600e-6, 500e-6)
 
 def table1() -> list[SweepRecord]:
     """The three reference designs: 850/600/500 um beams, 30 um wide, 50 V."""
-    spec = SweepSpec(base=reference_config(), axis="beam_length", start=500e-6, stop=850e-6, steps=2)
-    return [evaluate_point(spec, length) for length in TABLE1_BEAM_LENGTHS]
+    return [evaluate_point(replace(reference_config(), beam_length=length), length)
+            for length in TABLE1_BEAM_LENGTHS]

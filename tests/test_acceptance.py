@@ -10,6 +10,7 @@ import pytest
 
 from piezoscanner import multimorph, oracle, scanner, sweep
 from piezoscanner.multimorph import MultimorphStack
+from piezoscanner.verification import pipeline_force, random_stack
 
 EXPECTED_TILT_DEG = (0.57, 0.48, 0.42)
 EXPECTED_YMAX_UM = (2.45, 1.76, 1.48)
@@ -18,18 +19,6 @@ EXPECTED_YMAX_UM = (2.45, 1.76, 1.48)
 def _report(name, ok):
     print(f"acceptance: {name}: {'PASS' if ok else 'FAIL'}")
     assert ok, name
-
-
-def _random_stack(rng):
-    return MultimorphStack(
-        substrate_E=rng.uniform(10e9, 500e9),
-        substrate_t=rng.uniform(0.2e-6, 20e-6),
-        piezo_E=rng.uniform(10e9, 500e9),
-        piezo_t=rng.uniform(0.2e-6, 20e-6),
-        d31=-rng.uniform(10e-12, 500e-12),
-        width=rng.uniform(5e-6, 200e-6),
-        length=rng.uniform(100e-6, 2000e-6),
-    )
 
 
 def test_criterion_1_table1_reproduction():
@@ -52,10 +41,10 @@ def test_criterion_2_closed_form_identity():
     start = time.perf_counter()
     worst = 0.0
     for _ in range(1000):
-        stack = _random_stack(rng)
+        stack = random_stack(rng)
         v = rng.uniform(1.0, 100.0) * rng.choice([-1.0, 1.0])
-        f_pipe = multimorph.equivalent_force(stack, v)
-        f_closed = multimorph.equivalent_force_closed_form(stack, v)
+        f_pipe = pipeline_force(stack, v)
+        f_closed = multimorph.equivalent_force(stack, v)
         worst = max(worst, abs(f_pipe - f_closed) / abs(f_closed))
     elapsed = time.perf_counter() - start
     _report(f"2 closed-form force identity (worst {worst:.2e} <= 1e-10, <1s)",
@@ -66,7 +55,7 @@ def test_criterion_3_normalization_independence():
     rng = np.random.default_rng(43)
     worst = 0.0
     for _ in range(1000):
-        stack = _random_stack(rng)
+        stack = random_stack(rng)
         rigs = [multimorph.equivalent_section(stack, c).rigidity
                 for c in ("substrate", "piezo", "max")]
         worst = max(worst, (max(rigs) - min(rigs)) / max(rigs))
@@ -77,9 +66,9 @@ def test_criterion_4_profile_invariants():
     rng = np.random.default_rng(44)
     worst = 0.0
     for _ in range(100):
-        stack = _random_stack(rng)
+        stack = random_stack(rng)
         v = rng.uniform(1.0, 100.0) * rng.choice([-1.0, 1.0])
-        f = multimorph.equivalent_force_closed_form(stack, v)
+        f = multimorph.equivalent_force(stack, v)
         rig = multimorph.equivalent_section(stack).rigidity
         a = rng.uniform(10e-6, 500e-6)
         span = a + stack.length
@@ -161,9 +150,7 @@ def test_criterion_7_homogeneous_limit():
 
 
 def test_criterion_8_monotone_beam_length_trend():
-    spec = sweep.SweepSpec(
-        base=sweep.reference_config(), axis="beam_length",
-        start=500e-6, stop=850e-6, steps=2,
-    )
-    tilts = [sweep.evaluate_point(spec, L).tilt_deg for L in (500e-6, 600e-6, 850e-6)]
+    base = sweep.reference_config()
+    tilts = [sweep.evaluate_point(dataclasses.replace(base, beam_length=L), L).tilt_deg
+             for L in (500e-6, 600e-6, 850e-6)]
     _report("8 monotone tilt vs beam length", tilts[0] < tilts[1] < tilts[2])

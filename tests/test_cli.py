@@ -124,6 +124,25 @@ class TestModelCommand:
         assert float(fields[0]) == pytest.approx(0.5319742417, rel=1e-9)
         assert float(fields[5]) == pytest.approx(9.29782829e-11, rel=1e-8)
 
+    @pytest.mark.parametrize(
+        "line, edit, expected",
+        [
+            ("piezo_thickness_um = 1\n", "piezo_thickness_um = 1e-14\n",
+             "F_uN=4.39528235e-13 R_A_uN=3.42532132e-13"),
+            ("piezo_thickness_um = 1\n", "piezo_thickness_um = 1e-24\n",
+             "F_uN=4.39528235e-23 R_A_uN=3.42532132e-23"),
+            ("voltage_V = 50", "voltage_V = 1e308", "F_uN=8.79056471e+307 R_A_uN=6.85064264e+307"),
+        ],
+        ids=["piezo-1e-14", "piezo-1e-24", "voltage-1e308"],
+    )
+    def test_force_is_closed_form_at_extremes(self, tmp_path, capsys, line, edit, expected):
+        cfg = tmp_path / "extreme.cfg"
+        cfg.write_text(SCANNER_A_CFG.replace(line, edit))
+        assert run(["model", "--config", str(cfg), "--out", str(tmp_path / "m.csv")]) == 0
+        stdout = capsys.readouterr().out
+        assert expected in stdout
+        assert "nan" not in stdout and "inf" not in stdout
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert run(["model", "--config", str(tmp_path / "nope.cfg")]) == 1
         assert capsys.readouterr().err.startswith("config:")
@@ -247,15 +266,18 @@ class TestNonFiniteResults:
     @pytest.mark.parametrize(
         "edits, argv, reason",
         [
-            ({"name = silicon": "E_GPa = 1e300"}, ["model"], "non-finite force"),
-            ({"voltage_V = 50": "voltage_V = 1e308"}, ["profile", "--samples", "5"],
-             "non-finite force"),
-            ({}, ["sweep", "--axis", "voltage", "--from=1e307", "--to=1.7e308", "--steps", "3"],
+            ({"name = silicon": "E_GPa = 1e300"}, ["model"], "non-finite rigidity"),
+            ({"voltage_V = 50": "voltage_V = 1e308", "beam_width_um = 30": "beam_width_um = 3e10"},
+             ["profile", "--samples", "5"], "non-finite force"),
+            ({"beam_width_um = 30": "beam_width_um = 3e10"},
+             ["sweep", "--axis", "voltage", "--from=1e307", "--to=1.7e308", "--steps", "3"],
              "non-finite force"),
             ({"piezo_thickness_um = 1\n": "piezo_thickness_um = 1e300\n"}, ["model"],
              "equivalent section: (34"),
             ({"beam_length_um = 850": "beam_length_um = 1e-210"}, ["model"],
-             "equivalent force: float division by zero"),
+             "half span: a + L rounds to a for a beam length of 1e-216 m"),
+            ({"mirror_side_um = 300": "mirror_side_um = 1e300"}, ["model"],
+             "mirror side of 1e+294 m; the design is outside double-precision range"),
             ({"mirror_side_um = 300": "mirror_side_um = 2e109",
               "beam_length_um = 850": "beam_length_um = 1e95"}, ["model"], "half-beam statics: (34"),
             ({}, ["sweep", "--axis", "piezo_thickness", "--from=1e-6", "--to=1e300", "--steps", "3"],
@@ -271,7 +293,8 @@ class TestNonFiniteResults:
                                  "--steps", "2"], "overflows in CSV units"),
         ],
         ids=["model-E", "profile-voltage", "sweep-voltage", "model-piezo-thickness",
-             "model-beam-length", "model-mirror-side", "sweep-piezo-thickness",
+             "model-beam-length", "model-mirror-side-rounding", "model-mirror-side",
+             "sweep-piezo-thickness",
              "model-csv-units", "profile-csv-units", "sweep-csv-units"],
     )
     def test_overflow_fails(self, tmp_path, capsys, edits, argv, reason):
@@ -298,11 +321,25 @@ class TestNonFiniteResults:
                 assert ",error: " in row
 
 
-def test_cli_import_loads_no_scipy():
+def test_cli_import_loads_no_scipy(config_path, tmp_path):
+    """Neither scipy nor numpy loads for the import or any command but verify."""
     src = os.path.dirname(os.path.dirname(piezoscanner.__file__))
-    probe = "import sys, piezoscanner.cli; assert 'scipy' not in sys.modules, 'scipy imported'"
+    probe = textwrap.dedent(
+        """\
+        import sys
+        import piezoscanner.cli as cli
+        assert 'scipy' not in sys.modules, 'scipy imported'
+        assert 'numpy' not in sys.modules, 'numpy imported by the import'
+        cfg, out = sys.argv[1:]
+        for argv in (["model", "--config", cfg], ["profile", "--config", cfg],
+                     ["sweep", "--config", cfg, "--axis", "voltage", "--from=0", "--to=50",
+                      "--steps", "3"], ["table1"]):
+            assert cli.run([*argv, "--out", out]) == 0, argv
+            assert 'numpy' not in sys.modules, f'numpy imported by {argv[0]}'
+        """
+    )
     result = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", probe, config_path, str(tmp_path / "out.csv")],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True,
     )
