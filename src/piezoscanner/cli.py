@@ -20,7 +20,7 @@ from .config import ConfigError, parse_config
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
-MAX_SAMPLES = 2_000_001  # bounds the profile's memory; 10x the largest benchmarked profile
+MAX_SAMPLES = 2_000_001  # bounds the profile's run time and size; 10x the largest benchmarked
 
 
 class _Parser(argparse.ArgumentParser):
@@ -35,22 +35,20 @@ def _fmt(value: float) -> str:
     return f"{value:.9g}"
 
 
-def _write_atomic(path: str, content: str) -> None:
+def _write_atomic(path: str, header: str, rows) -> None:
+    """Write the header, then each row of cells as it arrives, to a temp file;
+    rename it over path only once the last row is written."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".csv")
     try:
         with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(content)
+            handle.write(header + "\n")
+            handle.writelines(",".join(row) + "\n" for row in rows)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _csv(header: str, rows: list[list[str]]) -> str:
-    lines = [header] + [",".join(row) for row in rows]
-    return "\n".join(lines) + "\n"
 
 
 def _load_config(path: str) -> sweep_mod.ScanConfig:
@@ -81,7 +79,7 @@ def _cmd_model(args) -> int:
         f"phi_deg={row[0]} y_max_um={row[1]} x_at_ymax_um={row[2]} "
         f"F_uN={row[3]} R_A_uN={row[4]} rigidity_Nm2={row[5]}"
     )
-    _write_atomic(args.out, _csv("phi_deg,y_max_um,x_at_ymax_um,F_uN,R_A_uN,rigidity_Nm2", [row]))
+    _write_atomic(args.out, "phi_deg,y_max_um,x_at_ymax_um,F_uN,R_A_uN,rigidity_Nm2", [row])
     return EXIT_OK
 
 
@@ -89,10 +87,12 @@ def _cmd_profile(args) -> int:
     config = _load_config(args.config)
     if not 2 <= args.samples <= MAX_SAMPLES:
         raise ConfigError(f"--samples must be in [2, {MAX_SAMPLES}]")
-    solution = config.solve(samples=args.samples)
+    geometry = config.geometry()
+    solution = scanner.solve_scanner(geometry, config.voltage)
     _model_row(solution)  # every |y| is at most y_max: this bounds the rows in CSV units too
-    rows = [[_fmt(u * 1e6), _fmt(y * 1e6)] for u, y in solution.profile]
-    _write_atomic(args.out, _csv("x_um,y_um", rows))
+    points = scanner.profile_points(args.samples, solution.force, geometry.a, geometry.half_span,
+                                    solution.rigidity)
+    _write_atomic(args.out, "x_um,y_um", ([_fmt(u * 1e6), _fmt(y * 1e6)] for u, y in points))
     return EXIT_OK
 
 
@@ -127,7 +127,7 @@ def _cmd_sweep(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     rows = _sweep_rows(args.axis, sweep_mod.run_sweep(spec))
-    _write_atomic(args.out, _csv(_SWEEP_HEADER, rows))
+    _write_atomic(args.out, _SWEEP_HEADER, rows)
     if not all(row[-1] == "ok" for row in rows):
         print("numeric: some sweep points failed; see the status column", file=sys.stderr)
         return EXIT_NUMERIC
@@ -136,7 +136,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_table1(args) -> int:
     records = sweep_mod.table1()
-    _write_atomic(args.out, _csv(_SWEEP_HEADER, _sweep_rows("beam_length", records)))
+    _write_atomic(args.out, _SWEEP_HEADER, _sweep_rows("beam_length", records))
     for rec in records:
         print(
             f"beam_length_um={_fmt(rec.param_value * 1e6)} "

@@ -135,12 +135,10 @@ def profile_error(problem: BeamProblem, solution: OracleSolution) -> float:
     The closed form is evaluated at the snapped junction so both sides
     solve the identical problem.
     """
-    closed = np.array(
-        [
-            scanner.profile_half(x, problem.force, solution.a_snapped, problem.span, problem.rigidity)
-            for x in solution.grid
-        ]
-    )
+    x = solution.grid
+    args = (problem.force, solution.a_snapped, problem.span, problem.rigidity)
+    closed = np.where(x <= solution.a_snapped, scanner._mirror_branch(x, *args),
+                      scanner._beam_branch(x, *args))
     scale = np.max(np.abs(closed))
     if scale == 0:
         return float(np.max(np.abs(solution.deflection)))

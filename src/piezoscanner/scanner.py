@@ -12,7 +12,7 @@ equivalent rigidity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .multimorph import MultimorphStack, OutOfRangeError, equivalent_force, equivalent_section
 
@@ -53,8 +53,6 @@ class ScannerSolution:
     """Static response of the scanner at one drive voltage.
 
     tilt and y_max are magnitudes; tilt_signed keeps the orientation.
-    profile is the full-device (u, y) sampling with u in [0, 2 * half_span],
-    anchors at the ends and the mirror center at u = half_span.
     """
 
     force: float
@@ -64,7 +62,6 @@ class ScannerSolution:
     y_max: float
     x_at_ymax: float
     rigidity: float
-    profile: list[tuple[float, float]] = field(repr=False)
 
 
 def _check_span(a: float, span: float) -> None:
@@ -143,8 +140,7 @@ def profile_half_slope(x: float, force: float, a: float, span: float, rigidity: 
 def tilt(force: float, a: float, span: float, rigidity: float) -> float:
     """Signed mirror tilt: arctan of the rigid segment's slope."""
     _check_span(a, span)
-    slope = force * a * (span - a) ** 3 / _profile_denominator(a, span, rigidity)
-    return math.atan(slope)
+    return math.atan(_mirror_branch_slope(force, a, span, rigidity))
 
 
 def max_deflection(force: float, a: float, span: float, rigidity: float) -> tuple[float, float]:
@@ -173,20 +169,11 @@ def max_deflection(force: float, a: float, span: float, rigidity: float) -> tupl
     return y_best, x_best
 
 
-def solve_scanner(geometry: ScannerGeometry, voltage: float, samples: int = 401) -> ScannerSolution:
-    """Full static solution plus the sampled full-device profile.
+def solve_scanner(geometry: ScannerGeometry, voltage: float) -> ScannerSolution:
+    """Scalar static solution: force, reaction, tilt, y_max and rigidity.
 
-    The full-device coordinate u runs from the left anchor (u = 0) through
-    the fixed mirror center (u = half_span) to the right anchor
-    (u = 2 * half_span); the right half is the antisymmetric image of the
-    left. Sampling is uniform in u; an even sample count is bumped by one
-    so the mirror center is always a sample point.
+    Nothing is sampled here; :func:`profile_points` samples the profile.
     """
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
-    if samples % 2 == 0:
-        samples += 1
-
     a, span = geometry.a, geometry.half_span
     force = equivalent_force(geometry.stack, voltage)
     rigidity = equivalent_section(geometry.stack).rigidity
@@ -202,36 +189,45 @@ def solve_scanner(geometry: ScannerGeometry, voltage: float, samples: int = 401)
         if not math.isfinite(value):
             raise ValueError(f"non-finite {name} ({value}); the design overflows double precision")
 
+    return ScannerSolution(force=force, reaction=r_a, tilt=abs(tilt_signed),
+                           tilt_signed=tilt_signed, y_max=y_max, x_at_ymax=x_at, rigidity=rigidity)
+
+
+def profile_points(samples: int, force: float, a: float, span: float, rigidity: float):
+    """Sample the full-device profile of a solved design, yielding (u, y) pairs.
+
+    u runs from the left anchor (u = 0) through the fixed mirror center
+    (u = span) to the right anchor (u = 2 * span); the right half is the
+    antisymmetric image of the left. Sampling is uniform in u; an even
+    sample count is bumped by one so the mirror center is always a sample.
+    """
+    if samples < 2:
+        raise ValueError("samples must be >= 2")
+    if samples % 2 == 0:
+        samples += 1
+
+    def half(x: float) -> float:
+        branch = _mirror_branch if x <= a else _beam_branch
+        return branch(x, force, a, span, rigidity)
+
     # Mirror the grid around the center so the antisymmetry of the two
     # half-profiles is exact in floating point.
-    profile = []
     full = 2 * span
     last = samples - 1
     for i in range(samples):
         if 2 * i == last:
             # full * i / last can round off span; the center is x = 0 exactly.
             u = span
-            y = profile_half(0.0, force, a, span, rigidity)
+            y = half(0.0)
         elif 2 * i < last:
             u = full * i / last
-            y = profile_half(span - u, force, a, span, rigidity)
+            y = half(span - u)
         else:
             u_mirror = full * (last - i) / last
             u = full - u_mirror
-            y = -profile_half(span - u_mirror, force, a, span, rigidity)
+            y = -half(span - u_mirror)
         if i in (0, last):
             y = 0.0  # anchors are clamped; suppress closed-form round-off
         if not math.isfinite(y):
             raise ValueError(f"non-finite profile ordinate ({y}) at u={u}")
-        profile.append((u, y))
-
-    return ScannerSolution(
-        force=force,
-        reaction=r_a,
-        tilt=abs(tilt_signed),
-        tilt_signed=tilt_signed,
-        y_max=y_max,
-        x_at_ymax=x_at,
-        rigidity=rigidity,
-        profile=profile,
-    )
+        yield u, y

@@ -36,8 +36,8 @@ class ScanConfig:
         )
         return ScannerGeometry(stack=stack, mirror_side=self.mirror_side)
 
-    def solve(self, samples: int = 401) -> ScannerSolution:
-        return solve_scanner(self.geometry(), self.voltage, samples=samples)
+    def solve(self) -> ScannerSolution:
+        return solve_scanner(self.geometry(), self.voltage)
 
 
 def reference_config() -> ScanConfig:
@@ -108,7 +108,7 @@ class SweepRecord:
 def evaluate_point(config: ScanConfig, value: float) -> SweepRecord:
     """Solve one design; value is the swept parameter it is recorded under."""
     try:
-        sol = config.solve(samples=3)
+        sol = config.solve()
     except ValueError as exc:
         return SweepRecord(
             param_value=value, tilt_deg=math.nan, y_max_m=math.nan,

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import strategies as st
 
 from piezoscanner.multimorph import MultimorphStack
+from piezoscanner.scanner import ScannerGeometry, profile_points, solve_scanner
 
 # Reference design: silicon substrate with PZT-5H layers, 850 um beam.
 REFERENCE_STACK = MultimorphStack(
@@ -18,6 +19,13 @@ REFERENCE_STACK = MultimorphStack(
 @pytest.fixture
 def reference_stack():
     return REFERENCE_STACK
+
+
+def sampled(geometry: ScannerGeometry, voltage: float, samples: int):
+    """The scalar solution and the sampled full-device profile of one design."""
+    sol = solve_scanner(geometry, voltage)
+    points = profile_points(samples, sol.force, geometry.a, geometry.half_span, sol.rigidity)
+    return sol, list(points)
 
 
 def drive_voltages():

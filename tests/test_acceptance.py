@@ -12,6 +12,8 @@ from piezoscanner import multimorph, oracle, scanner, sweep
 from piezoscanner.multimorph import MultimorphStack
 from piezoscanner.verification import pipeline_force, random_stack
 
+from conftest import sampled
+
 EXPECTED_TILT_DEG = (0.57, 0.48, 0.42)
 EXPECTED_YMAX_UM = (2.45, 1.76, 1.48)
 
@@ -122,18 +124,18 @@ def test_criterion_5_oracle_agreement():
 def test_criterion_6_trivial_cases():
     cfg = sweep.reference_config()
     geometry = cfg.geometry()
-    zero_v = scanner.solve_scanner(geometry, 0.0, samples=51)
+    zero_v, zero_v_profile = sampled(geometry, 0.0, 51)
     ok = zero_v.force == 0.0 and zero_v.tilt == 0.0
-    ok &= all(y == 0.0 for _, y in zero_v.profile)
+    ok &= all(y == 0.0 for _, y in zero_v_profile)
 
     dead = dataclasses.replace(cfg, d31=0.0).geometry()
-    zero_d = scanner.solve_scanner(dead, 50.0, samples=51)
+    zero_d, zero_d_profile = sampled(dead, 50.0, 51)
     ok &= zero_d.force == 0.0 and zero_d.tilt == 0.0
-    ok &= all(y == 0.0 for _, y in zero_d.profile)
+    ok &= all(y == 0.0 for _, y in zero_d_profile)
 
-    pos = scanner.solve_scanner(geometry, 50.0, samples=51)
-    neg = scanner.solve_scanner(geometry, -50.0, samples=51)
-    ok &= all(y1 == -y2 for (_, y1), (_, y2) in zip(pos.profile, neg.profile))
+    _, pos = sampled(geometry, 50.0, 51)
+    _, neg = sampled(geometry, -50.0, 51)
+    ok &= all(y1 == -y2 for (_, y1), (_, y2) in zip(pos, neg))
     _report("6 trivial cases (V=0, d31=0, V negation)", ok)
 
 

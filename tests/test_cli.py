@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -6,7 +7,7 @@ import textwrap
 import pytest
 
 import piezoscanner
-from piezoscanner.cli import run
+from piezoscanner.cli import _write_atomic, run
 from piezoscanner.config import ConfigError, parse_config
 
 SCANNER_A_CFG = textwrap.dedent(
@@ -187,6 +188,13 @@ class TestProfileCommand:
         run(["profile", "--config", config_path, "--samples", "101", "--out", out2])
         assert open(out1, "rb").read() == open(out2, "rb").read()
 
+    def test_bytes_pinned(self, config_path, tmp_path):
+        """Scanner A's 401-sample CSV keeps its bytes across versions of the code."""
+        out = tmp_path / "p.csv"
+        assert run(["profile", "--config", config_path, "--samples", "401", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "4d9358f1dfadb4d722ed1f1ee65d255f9a63383a6d3b1c4e22ae6ee316a2f182")
+
 
 class TestSweepCommand:
     def test_sweep_csv(self, config_path, tmp_path):
@@ -355,3 +363,21 @@ class TestAtomicWrites:
         assert code == 1
         assert not out.exists()
         assert not [f for f in os.listdir(tmp_path) if f.startswith(".tmp-")]
+
+    def test_failing_row_stream_leaves_nothing(self, tmp_path):
+        out = tmp_path / "p.csv"
+        out.write_bytes(b"earlier output\n")
+
+        def rows():
+            for i in range(3):
+                yield [str(i), "0"]
+            raise ValueError("row 3 fails")
+
+        with pytest.raises(ValueError, match="row 3 fails"):
+            _write_atomic(str(out), "x_um,y_um", rows())
+        assert out.read_bytes() == b"earlier output\n"
+        assert not [f for f in os.listdir(tmp_path) if f.startswith(".tmp-")]
+        out.unlink()
+        with pytest.raises(ValueError):
+            _write_atomic(str(out), "x_um,y_um", rows())
+        assert os.listdir(tmp_path) == []

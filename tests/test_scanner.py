@@ -13,11 +13,10 @@ from piezoscanner.scanner import (
     profile_half,
     profile_half_slope,
     reaction,
-    solve_scanner,
     tilt,
 )
 
-from conftest import REFERENCE_STACK, drive_voltages, physical_stacks
+from conftest import REFERENCE_STACK, drive_voltages, physical_stacks, sampled
 
 # Scanner A: reference stack, 300 um mirror, 50 V. Frozen values computed by
 # evaluating the reaction/tilt/extremum formulas independently (quadratic
@@ -165,51 +164,50 @@ class TestMaxDeflection:
 
 class TestSolveScanner:
     def test_zero_voltage(self):
-        sol = solve_scanner(geometry_a(), 0.0, samples=51)
+        sol, profile = sampled(geometry_a(), 0.0, 51)
         assert sol.tilt == 0.0
-        assert all(y == 0.0 for _, y in sol.profile)
+        assert all(y == 0.0 for _, y in profile)
 
     def test_center_is_fixed(self):
-        sol = solve_scanner(geometry_a(), 50.0, samples=401)
-        center = sol.profile[len(sol.profile) // 2]
+        _, profile = sampled(geometry_a(), 50.0, 401)
+        center = profile[len(profile) // 2]
         assert center[0] == pytest.approx(SPAN, rel=1e-12)
         assert center[1] == 0.0
 
     def test_antisymmetry(self):
-        sol = solve_scanner(geometry_a(), 50.0, samples=401)
-        n = len(sol.profile)
-        for (u1, y1), (u2, y2) in zip(sol.profile, reversed(sol.profile)):
+        _, profile = sampled(geometry_a(), 50.0, 401)
+        for (u1, y1), (u2, y2) in zip(profile, reversed(profile)):
             assert u1 + u2 == pytest.approx(2 * SPAN, rel=1e-12)
             assert y1 == pytest.approx(-y2, rel=1e-12, abs=1e-30)
 
     def test_anchors_at_zero(self):
-        sol = solve_scanner(geometry_a(), 50.0, samples=401)
-        assert abs(sol.profile[0][1]) <= 1e-12 * sol.y_max
-        assert abs(sol.profile[-1][1]) <= 1e-12 * sol.y_max
+        sol, profile = sampled(geometry_a(), 50.0, 401)
+        assert abs(profile[0][1]) <= 1e-12 * sol.y_max
+        assert abs(profile[-1][1]) <= 1e-12 * sol.y_max
 
     def test_scanner_a_summary(self):
-        sol = solve_scanner(geometry_a(), 50.0, samples=401)
+        sol, profile = sampled(geometry_a(), 50.0, 401)
         assert math.degrees(sol.tilt) == pytest.approx(REF_TILT_DEG, rel=1e-10)
         assert sol.y_max == pytest.approx(REF_YMAX, rel=1e-10)
         assert sol.force == pytest.approx(FORCE, rel=1e-10)
         assert sol.reaction == pytest.approx(REF_REACTION, rel=1e-10)
-        extrema = max(abs(y) for _, y in sol.profile)
+        extrema = max(abs(y) for _, y in profile)
         assert extrema == pytest.approx(REF_YMAX, rel=1e-3)
 
     def test_even_sample_count_still_includes_center(self):
-        sol = solve_scanner(geometry_a(), 50.0, samples=10)
-        assert any(u == pytest.approx(SPAN, rel=1e-12) and y == 0.0 for u, y in sol.profile)
+        _, profile = sampled(geometry_a(), 50.0, 10)
+        assert any(u == pytest.approx(SPAN, rel=1e-12) and y == 0.0 for u, y in profile)
 
     def test_voltage_negation_flips_profile(self):
-        pos = solve_scanner(geometry_a(), 50.0, samples=51)
-        neg = solve_scanner(geometry_a(), -50.0, samples=51)
-        for (u1, y1), (u2, y2) in zip(pos.profile, neg.profile):
+        _, pos = sampled(geometry_a(), 50.0, 51)
+        _, neg = sampled(geometry_a(), -50.0, 51)
+        for (u1, y1), (u2, y2) in zip(pos, neg):
             assert u1 == u2
             assert y1 == -y2
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
-            solve_scanner(geometry_a(), 50.0, samples=1)
+            sampled(geometry_a(), 50.0, 1)
 
     @pytest.mark.parametrize("mirror_side", [0.0, math.nan])
     def test_invalid_mirror_side_rejected(self, mirror_side):
@@ -221,9 +219,9 @@ class TestSolveScanner:
         geometry = ScannerGeometry(stack=replace(REFERENCE_STACK, length=169e-6), mirror_side=300e-6)
         span, last = geometry.half_span, samples - 1
         assert 2 * span * (last // 2) / last > span  # the uniform grid overshoots the center
-        sol = solve_scanner(geometry, 50.0, samples=samples)
-        assert sol.profile[last // 2] == (span, 0.0)
-        for (_, y1), (_, y2) in zip(sol.profile, reversed(sol.profile)):
+        _, profile = sampled(geometry, 50.0, samples)
+        assert profile[last // 2] == (span, 0.0)
+        for (_, y1), (_, y2) in zip(profile, reversed(profile)):
             assert y1 == -y2
 
     @given(
@@ -232,9 +230,9 @@ class TestSolveScanner:
         voltage=drive_voltages().filter(lambda v: v != 0.0),
     )
     def test_physical_design_finite_and_signed(self, stack, mirror_side, voltage):
-        sol = solve_scanner(ScannerGeometry(stack=stack, mirror_side=mirror_side), voltage, samples=41)
+        sol, profile = sampled(ScannerGeometry(stack=stack, mirror_side=mirror_side), voltage, 41)
         values = [sol.force, sol.rigidity, sol.reaction, sol.tilt, sol.y_max]
-        assert all(map(math.isfinite, values + [y for _, y in sol.profile]))
+        assert all(map(math.isfinite, values + [y for _, y in profile]))
         sign = math.copysign(1.0, stack.d31 * voltage)
         assert math.copysign(1.0, sol.force) == sign and sol.force != 0.0
         assert math.copysign(1.0, sol.tilt_signed) == sign and sol.tilt_signed != 0.0
