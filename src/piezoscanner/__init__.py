@@ -8,16 +8,7 @@ sweeps/optimizes the geometry for scan angle.
 
 from .materials import Material
 from .multimorph import EquivalentSection, MultimorphStack, equivalent_force, equivalent_section
-from .scanner import (
-    ScannerGeometry,
-    ScannerSolution,
-    max_deflection,
-    profile_half,
-    profile_half_slope,
-    reaction,
-    solve_scanner,
-    tilt,
-)
+from .scanner import ScannerGeometry, ScannerSolution, solve_scanner
 from .sweep import ScanConfig, SweepRecord, SweepSpec, optimize_1d, reference_config, run_sweep, table1
 
 __all__ = [
@@ -28,12 +19,7 @@ __all__ = [
     "equivalent_section",
     "ScannerGeometry",
     "ScannerSolution",
-    "max_deflection",
-    "profile_half",
-    "profile_half_slope",
-    "reaction",
     "solve_scanner",
-    "tilt",
     "ScanConfig",
     "SweepRecord",
     "SweepSpec",

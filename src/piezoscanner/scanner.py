@@ -7,6 +7,12 @@ by symmetry to half the span: a simple support at the mirror center A
 (x = a), and a clamp at the anchor C (x = L). Segment [A, B] is the rigid
 half-mirror (zero curvature); segment [B, C] bends with the multimorph's
 equivalent rigidity.
+
+The closed forms are plain arithmetic on a checked design: they assume
+0 < a < span and rigidity > 0. :class:`ScannerGeometry` is the model's one
+check of the half-beam geometry, and :class:`piezoscanner.oracle.BeamProblem`
+the oracle's. A stack's rigidity is positive unless it underflows to 0,
+which :func:`tilt` meets first as a division by zero.
 """
 
 from __future__ import annotations
@@ -15,10 +21,6 @@ import math
 from dataclasses import dataclass
 
 from .multimorph import MultimorphStack, OutOfRangeError, equivalent_force, equivalent_section
-
-
-class DegenerateGeometryError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -35,6 +37,9 @@ class ScannerGeometry:
     def __post_init__(self) -> None:
         if not self.mirror_side > 0:
             raise ValueError("mirror_side must be > 0")
+        if not self.a > 0:
+            raise OutOfRangeError("mirror half side",
+                                  f"a mirror side of {self.mirror_side} m halves to a = 0")
         if not self.a < self.half_span:
             raise OutOfRangeError("half span", f"a + L rounds to a for a beam length of "
                                   f"{self.stack.length} m and a mirror side of {self.mirror_side} m")
@@ -64,19 +69,19 @@ class ScannerSolution:
     rigidity: float
 
 
-def _check_span(a: float, span: float) -> None:
-    if not 0 < a < span:
-        raise DegenerateGeometryError(f"need 0 < a < L, got a={a}, L={span}")
-
-
 def reaction(force: float, a: float, span: float) -> float:
     """Redundant reaction at the mirror-center support."""
-    _check_span(a, span)
     return -force * (a**3 - 3 * a * span**2 + 2 * span**3) / (2 * span**3 - 2 * a**3)
 
 
 def _profile_denominator(a: float, span: float, rigidity: float) -> float:
     return 4 * rigidity * (a**2 + span * a + span**2)
+
+
+def _slope_coefficients(a: float, span: float) -> tuple[float, float, float]:
+    """(qa, qb, qc) of the beam branch's slope bracket qa x^2 + qb x + qc."""
+    return (3 * (a + span), -2 * (2 * span**2 + 2 * a**2 + 2 * a * span),
+            span**3 + 4 * a**2 * span + a * span**2)
 
 
 def _mirror_branch(x: float, force: float, a: float, span: float, rigidity: float) -> float:
@@ -102,12 +107,8 @@ def _mirror_branch_slope(force: float, a: float, span: float, rigidity: float) -
 
 def _beam_branch_slope(x: float, force: float, a: float, span: float, rigidity: float) -> float:
     den = _profile_denominator(a, span, rigidity)
-    bracket = (
-        3 * (a + span) * x**2
-        + 2 * x * (-2 * span**2 - 2 * a**2 - 2 * a * span)
-        + (span**3 + 4 * a**2 * span + a * span**2)
-    )
-    return force * a * bracket / den
+    qa, qb, qc = _slope_coefficients(a, span)
+    return force * a * (qa * x**2 + qb * x + qc) / den
 
 
 def profile_half(x: float, force: float, a: float, span: float, rigidity: float) -> float:
@@ -117,11 +118,6 @@ def profile_half(x: float, force: float, a: float, span: float, rigidity: float)
     segment; the two branches share value and slope at the junction and the
     cubic satisfies y = y' = 0 at the clamp.
     """
-    if not 0 <= x <= span:
-        raise ValueError(f"x={x} outside [0, {span}]")
-    _check_span(a, span)
-    if rigidity <= 0:
-        raise ValueError("rigidity must be > 0")
     if x <= a:
         return _mirror_branch(x, force, a, span, rigidity)
     return _beam_branch(x, force, a, span, rigidity)
@@ -129,9 +125,6 @@ def profile_half(x: float, force: float, a: float, span: float, rigidity: float)
 
 def profile_half_slope(x: float, force: float, a: float, span: float, rigidity: float) -> float:
     """Analytic derivative of :func:`profile_half`."""
-    if not 0 <= x <= span:
-        raise ValueError(f"x={x} outside [0, {span}]")
-    _check_span(a, span)
     if x <= a:
         return _mirror_branch_slope(force, a, span, rigidity)
     return _beam_branch_slope(x, force, a, span, rigidity)
@@ -139,31 +132,26 @@ def profile_half_slope(x: float, force: float, a: float, span: float, rigidity: 
 
 def tilt(force: float, a: float, span: float, rigidity: float) -> float:
     """Signed mirror tilt: arctan of the rigid segment's slope."""
-    _check_span(a, span)
     return math.atan(_mirror_branch_slope(force, a, span, rigidity))
 
 
 def max_deflection(force: float, a: float, span: float, rigidity: float) -> tuple[float, float]:
     """Largest |deflection| on the flexible segment and its location.
 
-    The stationary point of the cubic branch solves
-    3(a+L)x^2 - 2(2L^2 + 2a^2 + 2aL)x + (L^3 + 4a^2 L + a L^2) = 0,
-    whose roots are the clamp x = L and one point strictly inside (a, L).
-    The junction value |y(a)| is compared as well.
+    The stationary points of the cubic branch are the roots of its slope
+    bracket (:func:`_slope_coefficients`): the clamp x = L and one point
+    strictly inside (a, L). The junction value |y(a)| is compared as well.
     """
-    _check_span(a, span)
     if force == 0:
         return 0.0, a
-    qa = 3 * (a + span)
-    qb = -2 * (2 * span**2 + 2 * a**2 + 2 * a * span)
-    qc = span**3 + 4 * a**2 * span + a * span**2
+    qa, qb, qc = _slope_coefficients(a, span)
     disc = qb * qb - 4 * qa * qc
-    x_best, y_best = a, abs(profile_half(a, force, a, span, rigidity))
+    x_best, y_best = a, abs(_mirror_branch(a, force, a, span, rigidity))
     if disc >= 0:
         sq = math.sqrt(disc)
         for root in ((-qb - sq) / (2 * qa), (-qb + sq) / (2 * qa)):
             if a < root < span * (1 - 1e-12):
-                y_root = abs(profile_half(root, force, a, span, rigidity))
+                y_root = abs(_beam_branch(root, force, a, span, rigidity))
                 if y_root > y_best:
                     x_best, y_best = root, y_root
     return y_best, x_best
@@ -206,26 +194,21 @@ def profile_points(samples: int, force: float, a: float, span: float, rigidity: 
     if samples % 2 == 0:
         samples += 1
 
-    def half(x: float) -> float:
-        branch = _mirror_branch if x <= a else _beam_branch
-        return branch(x, force, a, span, rigidity)
-
     # Mirror the grid around the center so the antisymmetry of the two
     # half-profiles is exact in floating point.
     full = 2 * span
     last = samples - 1
     for i in range(samples):
         if 2 * i == last:
-            # full * i / last can round off span; the center is x = 0 exactly.
-            u = span
-            y = half(0.0)
+            # full * i / last can round off span; the center is the fixed support.
+            u, y = span, 0.0
         elif 2 * i < last:
             u = full * i / last
-            y = half(span - u)
+            y = profile_half(span - u, force, a, span, rigidity)
         else:
             u_mirror = full * (last - i) / last
             u = full - u_mirror
-            y = -half(span - u_mirror)
+            y = -profile_half(span - u_mirror, force, a, span, rigidity)
         if i in (0, last):
             y = 0.0  # anchors are clamped; suppress closed-form round-off
         if not math.isfinite(y):

@@ -188,6 +188,10 @@ def checks(nodes: int):
                 - scanner._beam_branch(aa, f, aa, sp, rig)),
             abs(scanner._mirror_branch_slope(f, aa, sp, rig)
                 - scanner._beam_branch_slope(aa, f, aa, sp, rig)) * sp,
+            # straightness of the mirror segment: second difference
+            abs(scanner.profile_half(aa / 4, f, aa, sp, rig)
+                - 2 * scanner.profile_half(aa / 2, f, aa, sp, rig)
+                + scanner.profile_half(3 * aa / 4, f, aa, sp, rig)),
             abs(math.tan(abs(scanner.tilt(f, aa, sp, rig)))
                 - abs(scanner.profile_half_slope(0.0, f, aa, sp, rig))) * sp,
         )

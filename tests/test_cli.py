@@ -162,17 +162,20 @@ class TestModelCommand:
 
 
 class TestProfileCommand:
-    def test_five_sample_profile(self, config_path, tmp_path):
-        out = str(tmp_path / "p.csv")
-        assert run(["profile", "--config", config_path, "--samples", "5", "--out", out]) == 0
-        lines = open(out).read().splitlines()
-        assert lines[0] == "x_um,y_um"
-        assert len(lines) == 6
-        rows = [line.split(",") for line in lines[1:]]
-        assert float(rows[0][1]) == 0.0  # left anchor
-        assert float(rows[2][1]) == 0.0  # mirror center
-        assert float(rows[-1][1]) == 0.0  # right anchor
-        assert float(rows[2][0]) == pytest.approx(1000.0)
+    def test_five_sample_profile(self, tmp_path):
+        for voltage in ("50", "-50"):
+            cfg = tmp_path / f"{voltage}.cfg"
+            cfg.write_text(SCANNER_A_CFG.replace("voltage_V = 50", f"voltage_V = {voltage}"))
+            out = str(tmp_path / "p.csv")
+            assert run(["profile", "--config", str(cfg), "--samples", "5", "--out", out]) == 0
+            lines = open(out).read().splitlines()
+            assert lines[0] == "x_um,y_um"
+            assert len(lines) == 6
+            rows = [line.split(",") for line in lines[1:]]
+            assert float(rows[0][1]) == 0.0  # left anchor
+            assert rows[2][1] == "0"  # the mirror center is the fixed support, never -0
+            assert float(rows[-1][1]) == 0.0  # right anchor
+            assert float(rows[2][0]) == pytest.approx(1000.0)
 
     def test_samples_bounded(self, config_path, tmp_path, capsys):
         out = tmp_path / "p.csv"
@@ -193,7 +196,43 @@ class TestProfileCommand:
         out = tmp_path / "p.csv"
         assert run(["profile", "--config", config_path, "--samples", "401", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "4d9358f1dfadb4d722ed1f1ee65d255f9a63383a6d3b1c4e22ae6ee316a2f182")
+            "ba6d82e49119ecef35f0f3bd509ba40fde8c6dcc714081a6ae837cf0754ede18")
+
+
+# The README's model, sweep and table1 commands on Scanner A: argv after the
+# subcommand, exact stdout, and the SHA-256 of the CSV.
+README_OUTPUTS = {
+    "model": (
+        ["--config", "{config}"],
+        "phi_deg=0.531974242 y_max_um=2.28513075 x_at_ymax_um=359.42029 F_uN=43.9528235 "
+        "R_A_uN=34.2532132 rigidity_Nm2=9.29782829e-11\n",
+        "204a14a9f28b458e2897cd4393b0213ef046c5b113e35e2ae85f990a8f121c0c",
+    ),
+    "sweep": (
+        ["--config", "{config}", "--axis", "beam_length", "--from=500e-6", "--to=850e-6",
+         "--steps", "8"],
+        "",
+        "a69724f06610acb20caa80b4240988fdf008581fc2eb5f04433c087afc31a9e0",
+    ),
+    "table1": (
+        [],
+        "beam_length_um=850 phi_deg=0.531974242 y_max_um=2.28513075\n"
+        "beam_length_um=600 phi_deg=0.445581978 y_max_um=1.64661795\n"
+        "beam_length_um=500 phi_deg=0.397842679 y_max_um=1.37810652\n",
+        "68ce682d074c9638ba3e60d9c1e1bc5910a931444365ed08885b77d9fb7e55c3",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(README_OUTPUTS))
+def test_readme_bytes_pinned(config_path, tmp_path, capsys, command):
+    """The README commands keep their stdout and CSV bytes across versions of the code."""
+    argv, stdout, digest = README_OUTPUTS[command]
+    out = tmp_path / "out.csv"
+    argv = [arg.format(config=config_path) for arg in argv]
+    assert run([command, *argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == stdout
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestSweepCommand:
@@ -290,6 +329,11 @@ class TestNonFiniteResults:
               "beam_length_um = 850": "beam_length_um = 1e95"}, ["model"], "half-beam statics: (34"),
             ({}, ["sweep", "--axis", "piezo_thickness", "--from=1e-6", "--to=1e300", "--steps", "3"],
              "equivalent section: (34"),
+            ({}, ["sweep", "--axis", "mirror_side", "--from=1e-330", "--to=1e-323", "--steps", "3"],
+             "mirror half side: a mirror side of 5e-324 m halves to a = 0; the design is outside "
+             "double-precision range"),
+            ({"beam_width_um = 30": "beam_width_um = 1e-315"}, ["model"],
+             "half-beam statics: float division by zero"),
             (CSV_UNIT_OVERFLOW, ["model"], "overflows in CSV units"),
             ({"name = silicon": "E_GPa = 1.08e-3", "beam_length_um = 850": "beam_length_um = 904000",
               "beam_width_um = 30": "beam_width_um = 132000",
@@ -302,7 +346,7 @@ class TestNonFiniteResults:
         ],
         ids=["model-E", "profile-voltage", "sweep-voltage", "model-piezo-thickness",
              "model-beam-length", "model-mirror-side-rounding", "model-mirror-side",
-             "sweep-piezo-thickness",
+             "sweep-piezo-thickness", "sweep-mirror-half-side", "model-zero-rigidity",
              "model-csv-units", "profile-csv-units", "sweep-csv-units"],
     )
     def test_overflow_fails(self, tmp_path, capsys, edits, argv, reason):
