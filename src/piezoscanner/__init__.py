@@ -6,13 +6,11 @@ closed forms against an independent finite-difference beam solver, and
 sweeps/optimizes the geometry for scan angle.
 """
 
-from .materials import Material
 from .multimorph import EquivalentSection, MultimorphStack, equivalent_force, equivalent_section
 from .scanner import ScannerGeometry, ScannerSolution, solve_scanner
 from .sweep import ScanConfig, SweepRecord, SweepSpec, optimize_1d, reference_config, run_sweep, table1
 
 __all__ = [
-    "Material",
     "EquivalentSection",
     "MultimorphStack",
     "equivalent_force",

@@ -20,7 +20,9 @@ from .config import ConfigError, parse_config
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
-MAX_SAMPLES = 2_000_001  # bounds the profile's run time and size; 10x the largest benchmarked
+# Bounds on a command's run time and size: 10x the largest benchmarked profile and sweep.
+MAX_SAMPLES = 2_000_001  # profile samples and verify nodes
+MAX_STEPS = 200_000  # sweep points
 
 
 class _Parser(argparse.ArgumentParser):
@@ -37,10 +39,14 @@ def _fmt(value: float) -> str:
 
 def _write_atomic(path: str, header: str, rows) -> None:
     """Write the header, then each row of cells as it arrives, to a temp file;
-    rename it over path only once the last row is written."""
+    rename it over path only once the last row is written. The file gets the
+    mode a plain open() would give it, 0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".csv")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w", newline="") as handle:
             handle.write(header + "\n")
             handle.writelines(",".join(row) + "\n" for row in rows)
@@ -126,6 +132,8 @@ def _cmd_sweep(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if spec.steps > MAX_STEPS:
+        raise ConfigError(f"--steps must be in [2, {MAX_STEPS}]")
     rows = _sweep_rows(args.axis, sweep_mod.run_sweep(spec))
     _write_atomic(args.out, _SWEEP_HEADER, rows)
     if not all(row[-1] == "ok" for row in rows):
@@ -148,6 +156,8 @@ def _cmd_table1(args) -> int:
 def _cmd_verify(args) -> int:
     if args.nodes < 11 or args.nodes % 2 == 0:
         raise ConfigError("--nodes must be odd and >= 11")
+    if args.nodes > MAX_SAMPLES:
+        raise ConfigError(f"--nodes must be odd and in [11, {MAX_SAMPLES}]")
     from . import verification  # numpy loads only for verify
 
     print(
@@ -207,7 +217,7 @@ def run(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, materials.UnknownMaterialError) as exc:
+    except ConfigError as exc:
         print(f"config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ValueError, ArithmeticError) as exc:

@@ -11,12 +11,15 @@ Sections and keys:
                            mirror_side_um
     [drive]                voltage_V
 
-Unknown sections or keys are errors; each material section takes either a
-built-in name or explicit constants, never both. Units are fixed by the key
-suffixes; the key table below holds each key's SI scale, and values are
-converted here, at the boundary. Parsing yields a
-:class:`~piezoscanner.sweep.ScanConfig`, the one design carrier past this
-boundary.
+Comments are whole lines starting with ``#``; a ``#`` after a value is part
+of the value. Unknown sections or keys are errors; each material section
+takes either a built-in name (``silicon`` or ``pzt-5h``, any case) or
+explicit constants, never both. A built-in name stands for its SI constants
+in ``_BUILTIN``; from there both forms take the same s11E reciprocity check
+and piezo d31 check. Units are fixed by the key suffixes; the key table
+below holds each key's SI scale, and values are converted here, at the
+boundary. Parsing yields a :class:`~piezoscanner.sweep.ScanConfig`, the one
+design carrier past this boundary.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import configparser
 import math
 
-from .materials import Material, lookup
+from .materials import PZT5H_D31, PZT5H_E, PZT5H_S11E, SILICON_E
 from .sweep import ScanConfig
 
 
@@ -46,6 +49,12 @@ _SECTION_KEYS = {
     "drive": {"voltage_V": 1.0},
 }
 
+# Built-in material name -> the material section's keys, with values already in SI.
+_BUILTIN = {
+    "silicon": {"E_GPa": SILICON_E},
+    "pzt-5h": {"E_GPa": PZT5H_E, "d31_pm_per_V": PZT5H_D31, "s11E_per_TPa": PZT5H_S11E},
+}
+
 
 def _si(section: str, key: str, raw: str, positive: bool = False) -> float:
     """The key's value in SI. Finiteness is checked before scaling: a finite
@@ -63,25 +72,31 @@ def _si(section: str, key: str, raw: str, positive: bool = False) -> float:
     return value
 
 
-def _material(section: str, raw: dict[str, str]) -> Material:
-    has_name = "name" in raw
-    has_constants = bool(set(raw) - {"name"})
-    if has_name and has_constants:
+def _material(section: str, raw: dict[str, str]) -> tuple[float, float | None]:
+    """The section's Young's modulus and d31 in SI (d31 None: not piezoelectric)."""
+    if "name" in raw and len(raw) > 1:
         raise ConfigError(f"{section}: give either a registry name or explicit constants, not both")
-    if has_name:
-        return lookup(raw["name"])
-    if "E_GPa" not in raw:
-        raise ConfigError(f"{section}: missing required key E_GPa (or name)")
-    e = _si(section, "E_GPa", raw["E_GPa"], positive=True)
-    kwargs = {"name": section.split(".")[-1], "young_modulus": e}
-    if "d31_pm_per_V" in raw:
-        kwargs["d31"] = _si(section, "d31_pm_per_V", raw["d31_pm_per_V"])
-    if "s11E_per_TPa" in raw:
-        kwargs["s11E"] = _si(section, "s11E_per_TPa", raw["s11E_per_TPa"])
-    try:
-        return Material(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{section}: {exc}") from exc
+    if "name" in raw:
+        try:
+            si = _BUILTIN[raw["name"].lower()]
+        except KeyError:
+            raise ConfigError(
+                f"unknown material {raw['name']!r}; available: {sorted(_BUILTIN)}"
+            ) from None
+    else:
+        if "E_GPa" not in raw:
+            raise ConfigError(f"{section}: missing required key E_GPa (or name)")
+        si = {key: _si(section, key, raw[key], positive=key == "E_GPa")
+              for key in _SECTION_KEYS[section] if key in raw}
+    e = si["E_GPa"]
+    if "s11E_per_TPa" in si:
+        recip = e * si["s11E_per_TPa"]
+        if abs(recip - 1.0) > 1e-6:
+            raise ConfigError(
+                f"{section}: {section.split('.')[-1]}: s11E is not the reciprocal of E "
+                f"(E*s11E = {recip:.9g})"
+            )
+    return e, si.get("d31_pm_per_V")
 
 
 def parse_config(text: str) -> ScanConfig:
@@ -109,9 +124,9 @@ def parse_config(text: str) -> ScanConfig:
         if section not in parser:
             raise ConfigError(f"missing required section [{section}]")
 
-    substrate = _material("material.substrate", dict(parser["material.substrate"]))
-    piezo = _material("material.piezo", dict(parser["material.piezo"]))
-    if piezo.d31 is None:
+    substrate_E, _ = _material("material.substrate", dict(parser["material.substrate"]))
+    piezo_E, d31 = _material("material.piezo", dict(parser["material.piezo"]))
+    if d31 is None:
         raise ConfigError("material.piezo: d31_pm_per_V (or a piezo registry name) is required")
 
     geom = dict(parser["geometry"])
@@ -129,9 +144,9 @@ def parse_config(text: str) -> ScanConfig:
     voltage = _si("drive", "voltage_V", drive["voltage_V"])
 
     return ScanConfig(
-        substrate_E=substrate.young_modulus,
-        piezo_E=piezo.young_modulus,
-        d31=piezo.d31,
+        substrate_E=substrate_E,
+        piezo_E=piezo_E,
+        d31=d31,
         substrate_t=geom_si["substrate_thickness_um"],
         piezo_t=geom_si["piezo_thickness_um"],
         beam_width=geom_si["beam_width_um"],

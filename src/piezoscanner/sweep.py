@@ -82,6 +82,8 @@ class SweepSpec:
             raise ValueError("start and stop must be finite")
         if not self.start < self.stop:
             raise ValueError("need start < stop")
+        if not math.isfinite(self.stop - self.start):
+            raise ValueError("stop - start must be finite")
         if self.steps < 2:
             raise ValueError("steps must be >= 2")
 

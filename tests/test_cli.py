@@ -1,5 +1,8 @@
+import dataclasses
 import hashlib
 import os
+import pathlib
+import stat
 import subprocess
 import sys
 import textwrap
@@ -7,28 +10,20 @@ import textwrap
 import pytest
 
 import piezoscanner
-from piezoscanner.cli import _write_atomic, run
+from piezoscanner.cli import MAX_SAMPLES, MAX_STEPS, _write_atomic, run
 from piezoscanner.config import ConfigError, parse_config
+from piezoscanner.sweep import reference_config
 
-SCANNER_A_CFG = textwrap.dedent(
-    """\
-    [material.substrate]
-    name = silicon
+REPO = pathlib.Path(__file__).resolve().parents[1]
+SCANNER_A_CFG = (REPO / "scannerA.cfg").read_text()
 
-    [material.piezo]
-    name = pzt-5h
 
-    [geometry]
-    beam_length_um = 850
-    beam_width_um = 30
-    substrate_thickness_um = 5
-    piezo_thickness_um = 1
-    mirror_side_um = 300
-
-    [drive]
-    voltage_V = 50
-    """
-)
+def test_readme_config_is_scanner_a():
+    """The README shows scannerA.cfg verbatim, so its commands run as written."""
+    readme = (REPO / "README.md").read_text()
+    assert readme.split("```ini\n", 1)[1].split("```", 1)[0] == SCANNER_A_CFG
+    parsed = dataclasses.astuple(parse_config(SCANNER_A_CFG))
+    assert parsed == pytest.approx(dataclasses.astuple(reference_config()), rel=1e-15)
 
 
 @pytest.fixture
@@ -252,18 +247,27 @@ class TestSweepCommand:
         assert lines[1].startswith("beam_length,0.0005,")
 
     @pytest.mark.parametrize(
-        "start, stop", [("50", "50"), ("50", "inf"), ("-inf", "50"), ("nan", "50")]
+        "start, stop",
+        [("50", "50"), ("50", "inf"), ("-inf", "50"), ("nan", "50"), ("-1e308", "1e308")],
     )
     def test_bad_range_exit_code(self, config_path, tmp_path, capsys, start, stop):
+        out = tmp_path / "s.csv"
         code = run(
             [
                 "sweep", "--config", config_path, "--axis", "voltage",
-                f"--from={start}", f"--to={stop}", "--steps", "3",
-                "--out", str(tmp_path / "s.csv"),
+                f"--from={start}", f"--to={stop}", "--steps", "3", "--out", str(out),
             ]
         )
         assert code == 1
         assert capsys.readouterr().err.startswith("config:")
+        assert not out.exists()
+
+    def test_steps_bounded(self, config_path, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert run(["sweep", "--config", config_path, "--axis", "voltage", "--from=0",
+                    "--to=50", "--steps", str(MAX_STEPS + 1), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config: --steps must be in [2, {MAX_STEPS}]\n"
+        assert not out.exists()
 
     def test_failed_points_flagged(self, config_path, tmp_path, capsys):
         out = str(tmp_path / "s.csv")
@@ -301,6 +305,12 @@ class TestVerifyCommand:
     def test_bad_nodes(self, capsys):
         assert run(["verify", "--nodes", "10"]) == 1
         assert capsys.readouterr().err.startswith("config:")
+
+    def test_nodes_bounded(self, capsys):
+        assert run(["verify", "--nodes", str(MAX_SAMPLES + 2)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"config: --nodes must be odd and in [11, {MAX_SAMPLES}]\n"
+        assert captured.out == ""
 
 
 class TestNonFiniteResults:
@@ -425,3 +435,14 @@ class TestAtomicWrites:
         with pytest.raises(ValueError):
             _write_atomic(str(out), "x_um,y_um", rows())
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_mode_follows_umask(self, config_path, tmp_path, umask, mode):
+        """The CSV gets the mode a plain open() would give it, not mkstemp's 0o600."""
+        out = tmp_path / "m.csv"
+        old = os.umask(umask)
+        try:
+            assert run(["model", "--config", config_path, "--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(out.stat().st_mode) == mode

@@ -1,47 +1,78 @@
+"""The built-in materials and the material checks, through parse_config."""
+
 import math
 
 import pytest
 
-from piezoscanner.materials import BUILTIN, Material, UnknownMaterialError, lookup
+from piezoscanner import config, materials
+from piezoscanner.config import ConfigError, parse_config
+
+GEOMETRY_AND_DRIVE = """
+[geometry]
+beam_length_um = 850
+beam_width_um = 30
+substrate_thickness_um = 5
+piezo_thickness_um = 1
+mirror_side_um = 300
+
+[drive]
+voltage_V = 50
+"""
+
+
+def _parse(substrate: str, piezo: str):
+    """Scanner A with the two material sections' bodies replaced."""
+    return parse_config(f"[material.substrate]\n{substrate}\n\n[material.piezo]\n{piezo}\n"
+                        + GEOMETRY_AND_DRIVE)
 
 
 class TestRegistry:
     def test_silicon_default(self):
-        m = lookup("silicon")
-        assert m.young_modulus == 169e9
-        assert m.d31 is None
+        assert _parse("name = silicon", "name = pzt-5h").substrate_E == 169e9
+        # silicon is passive: no d31, so it cannot be the piezo layer
+        with pytest.raises(ConfigError, match=r"^material\.piezo: d31_pm_per_V .* is required$"):
+            _parse("name = silicon", "name = silicon")
 
     def test_pzt5h_default(self):
-        m = lookup("pzt-5h")
-        assert m.young_modulus == 60.6e9
-        assert m.d31 == -274e-12
+        parsed = _parse("name = silicon", "name = pzt-5h")
+        assert parsed.piezo_E == 60.6e9
+        assert parsed.d31 == -274e-12
         # datasheet compliance, stored as the exact reciprocal of E
-        assert m.s11E == pytest.approx(16.5e-12, rel=1e-3)
+        assert materials.PZT5H_S11E == pytest.approx(16.5e-12, rel=1e-3)
+        # a passive layer may be made of it: only its E is used there
+        assert _parse("name = pzt-5h", "name = pzt-5h").substrate_E == 60.6e9
 
     def test_lookup_is_case_insensitive(self):
-        assert lookup("PZT-5H") is lookup("pzt-5h")
+        assert _parse("name = SILICON", "name = PZT-5H") == _parse("name = silicon", "name = pzt-5h")
 
     def test_unknown_material_names_available_entries(self):
-        with pytest.raises(UnknownMaterialError,
+        with pytest.raises(ConfigError,
                            match=r"^unknown material 'unobtainium'; available: \['pzt-5h', 'silicon'\]$"):
-            lookup("unobtainium")
+            _parse("name = unobtainium", "name = pzt-5h")
 
-    def test_reciprocal_invariant_for_all_entries(self):
-        for name, m in BUILTIN.items():
-            assert m.name == name
-            if m.s11E is not None:
-                assert abs(m.young_modulus * m.s11E - 1.0) <= 1e-6
+    def test_reciprocal_invariant_for_all_entries(self, monkeypatch):
+        for name, constants in config._BUILTIN.items():
+            _parse(f"name = {name}", "name = pzt-5h")
+            if "s11E_per_TPa" in constants:
+                assert abs(constants["E_GPa"] * constants["s11E_per_TPa"] - 1.0) <= 1e-6
+        # the reciprocity check runs on a built-in as on explicit constants
+        monkeypatch.setitem(config._BUILTIN, "pzt-5h",
+                            {**config._BUILTIN["pzt-5h"], "s11E_per_TPa": 2e-11})
+        with pytest.raises(ConfigError, match=r"^material\.piezo: piezo: s11E is not the reciprocal"):
+            _parse("name = silicon", "name = pzt-5h")
 
 
 class TestMaterialValidation:
     @pytest.mark.parametrize("modulus", [-1.0, math.nan])
     def test_nonpositive_modulus_rejected(self, modulus):
-        with pytest.raises(ValueError):
-            Material(name="bad", young_modulus=modulus)
+        with pytest.raises(ConfigError, match=r"^material\.substrate\.E_GPa: must be"):
+            _parse(f"E_GPa = {modulus}", "name = pzt-5h")
 
     def test_inconsistent_compliance_rejected(self):
-        with pytest.raises(ValueError):
-            Material(name="bad", young_modulus=100e9, s11E=2e-11)
+        with pytest.raises(ConfigError, match=r"^material\.piezo: piezo: s11E is not the reciprocal "
+                                              r"of E \(E\*s11E = 2\)$"):
+            _parse("name = silicon", "E_GPa = 100\nd31_pm_per_V = -274\ns11E_per_TPa = 20")
 
     def test_negative_d31_allowed(self):
-        Material(name="pzt", young_modulus=60e9, d31=-274e-12)
+        parsed = _parse("name = silicon", "E_GPa = 60\nd31_pm_per_V = -274")
+        assert parsed.d31 == pytest.approx(-274e-12, rel=1e-15)
