@@ -9,6 +9,7 @@ is byte-stable for identical inputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -20,7 +21,8 @@ from .config import ConfigError, parse_config
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
-# Bounds on a command's run time and size: 10x the largest benchmarked profile and sweep.
+# Bounds on a command's run time: 10x the largest benchmarked profile and sweep. Both
+# stream their rows, so memory does not grow with --samples or --steps.
 MAX_SAMPLES = 2_000_001  # profile samples and verify nodes
 MAX_STEPS = 200_000  # sweep points
 
@@ -37,10 +39,10 @@ def _fmt(value: float) -> str:
     return f"{value:.9g}"
 
 
-def _write_atomic(path: str, header: str, rows) -> None:
-    """Write the header, then each row of cells as it arrives, to a temp file;
-    rename it over path only once the last row is written. The file gets the
-    mode a plain open() would give it, 0o666 less the umask."""
+def _write_atomic(path: str, header: str, lines) -> None:
+    """Write the header, then each newline-terminated line as it arrives, to a
+    temp file; rename it over path only once the last line is written. The
+    file gets the mode a plain open() would give it, 0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".csv")
     umask = os.umask(0)
@@ -49,7 +51,7 @@ def _write_atomic(path: str, header: str, rows) -> None:
         os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w", newline="") as handle:
             handle.write(header + "\n")
-            handle.writelines(",".join(row) + "\n" for row in rows)
+            handle.writelines(lines)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -66,16 +68,18 @@ def _load_config(path: str) -> sweep_mod.ScanConfig:
     return parse_config(text)
 
 
-def _cells(values: list[float]) -> list[str]:
-    """Format results in CSV units; a finite SI result can still overflow in the scaling."""
+def _check_csv_units(values: tuple[float, ...]) -> None:
+    """Raise unless every result in CSV units is finite; a finite SI result can still
+    overflow in the scaling."""
     if not all(map(math.isfinite, values)):
         raise ValueError(f"a result overflows in CSV units: {', '.join(map(_fmt, values))}")
-    return [_fmt(value) for value in values]
 
 
 def _model_row(solution: scanner.ScannerSolution) -> list[str]:
-    return _cells([math.degrees(solution.tilt), solution.y_max * 1e6, solution.x_at_ymax * 1e6,
-                   abs(solution.force) * 1e6, solution.reaction * 1e6, solution.rigidity])
+    values = (math.degrees(solution.tilt), solution.y_max * 1e6, solution.x_at_ymax * 1e6,
+              abs(solution.force) * 1e6, solution.reaction * 1e6, solution.rigidity)
+    _check_csv_units(values)
+    return [_fmt(value) for value in values]
 
 
 def _cmd_model(args) -> int:
@@ -85,7 +89,8 @@ def _cmd_model(args) -> int:
         f"phi_deg={row[0]} y_max_um={row[1]} x_at_ymax_um={row[2]} "
         f"F_uN={row[3]} R_A_uN={row[4]} rigidity_Nm2={row[5]}"
     )
-    _write_atomic(args.out, "phi_deg,y_max_um,x_at_ymax_um,F_uN,R_A_uN,rigidity_Nm2", [row])
+    _write_atomic(args.out, "phi_deg,y_max_um,x_at_ymax_um,F_uN,R_A_uN,rigidity_Nm2",
+                  [",".join(row) + "\n"])
     return EXIT_OK
 
 
@@ -98,26 +103,23 @@ def _cmd_profile(args) -> int:
     _model_row(solution)  # every |y| is at most y_max: this bounds the rows in CSV units too
     points = scanner.profile_points(args.samples, solution.force, geometry.a, geometry.half_span,
                                     solution.rigidity)
-    _write_atomic(args.out, "x_um,y_um", ([_fmt(u * 1e6), _fmt(y * 1e6)] for u, y in points))
+    # "%.9g" renders every float as _fmt does, in one format per row.
+    _write_atomic(args.out, "x_um,y_um", ("%.9g,%.9g\n" % (u * 1e6, y * 1e6) for u, y in points))
     return EXIT_OK
 
 
-def _sweep_rows(axis: str, records: list[sweep_mod.SweepRecord]) -> list[list[str]]:
-    rows = []
-    for rec in records:
-        status = rec.status
-        if rec.ok:
-            try:
-                cells = _cells([rec.tilt_deg, rec.y_max_m * 1e6, abs(rec.force_N) * 1e6,
-                                rec.reaction_N * 1e6])
-            except ValueError as exc:
-                status = str(exc)
-        if status == "ok":
-            rows.append([axis, _fmt(rec.param_value), *cells, "ok"])
+def _sweep_row(axis: str, value: float, tilt_deg: float, y_max: float, force: float,
+               reaction: float, status: str) -> str:
+    """One sweep CSV line from a point's SweepRecord fields; its status ends the line."""
+    if status == "ok":
+        cells = (tilt_deg, y_max * 1e6, abs(force) * 1e6, reaction * 1e6)
+        try:
+            _check_csv_units(cells)
+        except ValueError as exc:
+            status = str(exc)
         else:
-            rows.append([axis, _fmt(rec.param_value), "nan", "nan", "nan", "nan",
-                         "error: " + status.replace(",", ";")])
-    return rows
+            return "%s,%.9g,%.9g,%.9g,%.9g,%.9g,ok\n" % (axis, value, *cells)
+    return "%s,%.9g,nan,nan,nan,nan,error: %s\n" % (axis, value, status.replace(",", ";"))
 
 
 _SWEEP_HEADER = "param_name,param_value_si,phi_deg,y_max_um,F_uN,R_A_uN,status"
@@ -134,9 +136,17 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(str(exc)) from exc
     if spec.steps > MAX_STEPS:
         raise ConfigError(f"--steps must be in [2, {MAX_STEPS}]")
-    rows = _sweep_rows(args.axis, sweep_mod.run_sweep(spec))
-    _write_atomic(args.out, _SWEEP_HEADER, rows)
-    if not all(row[-1] == "ok" for row in rows):
+    failed = 0
+
+    def rows():
+        nonlocal failed
+        for point in sweep_mod.sweep_points(spec):
+            line = _sweep_row(args.axis, *point)
+            failed += not line.endswith(",ok\n")
+            yield line
+
+    _write_atomic(args.out, _SWEEP_HEADER, rows())
+    if failed:
         print("numeric: some sweep points failed; see the status column", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK
@@ -144,7 +154,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_table1(args) -> int:
     records = sweep_mod.table1()
-    _write_atomic(args.out, _SWEEP_HEADER, _sweep_rows("beam_length", records))
+    _write_atomic(args.out, _SWEEP_HEADER,
+                  [_sweep_row("beam_length", *dataclasses.astuple(rec)) for rec in records])
     for rec in records:
         print(
             f"beam_length_um={_fmt(rec.param_value * 1e6)} "

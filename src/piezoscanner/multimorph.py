@@ -40,9 +40,25 @@ class MultimorphStack:
     length: float
 
     def __post_init__(self) -> None:
-        for field in ("substrate_E", "substrate_t", "piezo_E", "piezo_t", "width", "length"):
-            if not getattr(self, field) > 0:
-                raise ValueError(f"{field} must be > 0")
+        check_stack(self.substrate_E, self.substrate_t, self.piezo_E, self.piezo_t, self.width,
+                    self.length)
+
+
+def check_stack(substrate_E: float, substrate_t: float, piezo_E: float, piezo_t: float,
+                width: float, length: float) -> None:
+    """Raise ValueError, naming the first field in this order that is not > 0."""
+    if not substrate_E > 0:
+        raise ValueError("substrate_E must be > 0")
+    if not substrate_t > 0:
+        raise ValueError("substrate_t must be > 0")
+    if not piezo_E > 0:
+        raise ValueError("piezo_E must be > 0")
+    if not piezo_t > 0:
+        raise ValueError("piezo_t must be > 0")
+    if not width > 0:
+        raise ValueError("width must be > 0")
+    if not length > 0:
+        raise ValueError("length must be > 0")
 
 
 @dataclass(frozen=True)
@@ -64,39 +80,52 @@ class EquivalentSection:
 _E_REF_CHOICES = ("substrate", "piezo", "max")
 
 
-def equivalent_section(stack: MultimorphStack, e_ref_choice: str = "max") -> EquivalentSection:
-    """Homogenize the stack by normalizing layer widths with e_ref.
+def section(substrate_E: float, substrate_t: float, piezo_E: float, piezo_t: float,
+            width: float, e_ref_choice: str = "max") -> tuple[float, float, float, float]:
+    """(h_eq, i_eq, e_ref, rigidity) of the homogenized stack; see :class:`EquivalentSection`.
 
-    The neutral axis is the stiffness-weighted barycenter of the layer
-    mid-heights; the inertia is the transformed-section sum of the
-    parallel-axis contributions. Which modulus normalizes is immaterial
-    for the rigidity e_ref * i_eq.
+    Layer widths are normalized by e_ref. The neutral axis is the
+    stiffness-weighted barycenter of the layer mid-heights; the inertia is
+    the transformed-section sum of the parallel-axis contributions. Which
+    modulus normalizes is immaterial for the rigidity e_ref * i_eq. The
+    three layers are summed left to right, substrate first, so the result
+    does not depend on how the interpreter's sum() rounds.
     """
     if e_ref_choice not in _E_REF_CHOICES:
         raise ValueError(f"e_ref_choice must be one of {_E_REF_CHOICES}")
-    ts, tp = stack.substrate_t, stack.piezo_t
-    moduli = (stack.substrate_E, stack.piezo_E, stack.piezo_E)
-    thicknesses = (ts, tp, tp)
-    mid_heights = (ts / 2, ts + tp / 2, ts + 1.5 * tp)
+    ts, tp = substrate_t, piezo_t
+    hs, h1, h2 = ts / 2, ts + tp / 2, ts + 1.5 * tp  # layer mid-heights
 
     if e_ref_choice == "substrate":
-        e_ref = stack.substrate_E
+        e_ref = substrate_E
     elif e_ref_choice == "piezo":
-        e_ref = stack.piezo_E
+        e_ref = piezo_E
     else:
-        e_ref = max(stack.substrate_E, stack.piezo_E)
+        e_ref = max(substrate_E, piezo_E)
 
     try:
         # Stiffness-scaled layer areas per unit width; width cancels in h_eq.
-        areas = [e / e_ref * t for e, t in zip(moduli, thicknesses)]
-        h_eq = sum(s * h for s, h in zip(areas, mid_heights)) / sum(areas)
-        i_eq = stack.width * sum(
-            e / e_ref * (t**3 / 12 + t * (h_eq - h) ** 2)
-            for e, t, h in zip(moduli, thicknesses, mid_heights)
-        )
+        a_s = substrate_E / e_ref * ts
+        a_p = piezo_E / e_ref * tp
+        h_eq = (a_s * hs + a_p * h1 + a_p * h2) / (a_s + a_p + a_p)
+        i_eq = width * (substrate_E / e_ref * (ts**3 / 12 + ts * (h_eq - hs) ** 2)
+                        + piezo_E / e_ref * (tp**3 / 12 + tp * (h_eq - h1) ** 2)
+                        + piezo_E / e_ref * (tp**3 / 12 + tp * (h_eq - h2) ** 2))
     except ArithmeticError as exc:
         raise OutOfRangeError("equivalent section", exc) from exc
-    return EquivalentSection(h_eq=h_eq, i_eq=i_eq, e_ref=e_ref, rigidity=e_ref * i_eq)
+    return h_eq, i_eq, e_ref, e_ref * i_eq
+
+
+def equivalent_section(stack: MultimorphStack, e_ref_choice: str = "max") -> EquivalentSection:
+    """Homogenize the stack by normalizing layer widths with e_ref (:func:`section`)."""
+    return EquivalentSection(*section(stack.substrate_E, stack.substrate_t, stack.piezo_E,
+                                      stack.piezo_t, stack.width, e_ref_choice))
+
+
+def end_force(width: float, piezo_t: float, piezo_E: float, d31: float, voltage: float,
+              length: float) -> float:
+    """(3/2) W t_p E_p d31 V / L; see :func:`equivalent_force`."""
+    return 1.5 * width * piezo_t * piezo_E * d31 * voltage / length
 
 
 def equivalent_force(stack: MultimorphStack, voltage: float) -> float:
@@ -106,4 +135,4 @@ def equivalent_force(stack: MultimorphStack, voltage: float) -> float:
     Signed: follows the sign of d31 * V. Float products never raise: an
     overflow gives +-inf, which `solve_scanner` rejects as non-finite.
     """
-    return 1.5 * stack.width * stack.piezo_t * stack.piezo_E * stack.d31 * voltage / stack.length
+    return end_force(stack.width, stack.piezo_t, stack.piezo_E, stack.d31, voltage, stack.length)

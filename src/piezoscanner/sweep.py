@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 from . import materials
-from .multimorph import MultimorphStack
-from .scanner import ScannerGeometry, ScannerSolution, solve_scanner
+from .multimorph import MultimorphStack, check_stack, end_force, section
+from .scanner import ScannerGeometry, ScannerSolution, check_mirror, solve_scanner, statics
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,8 @@ def reference_config() -> ScanConfig:
     )
 
 
+_FIELDS = tuple(field.name for field in fields(ScanConfig))
+
 # Sweepable axis name -> ScanConfig field.
 AXES = {
     "beam_length": "beam_length",
@@ -87,8 +89,12 @@ class SweepSpec:
         if self.steps < 2:
             raise ValueError("steps must be >= 2")
 
-    def with_value(self, value: float) -> ScanConfig:
-        return replace(self.base, **{AXES[self.axis]: value})
+    def grid(self):
+        """The parameter values in ascending order, start and stop included."""
+        step = (self.stop - self.start) / (self.steps - 1)
+        for i in range(self.steps - 1):
+            yield self.start + i * step
+        yield self.stop
 
 
 @dataclass(frozen=True)
@@ -107,22 +113,42 @@ class SweepRecord:
         return self.status == "ok"
 
 
+def _point(value: float, substrate_E: float, piezo_E: float, d31: float, substrate_t: float,
+           piezo_t: float, beam_width: float, beam_length: float, mirror_side: float,
+           voltage: float) -> tuple:
+    """The SweepRecord fields of one design given by ScanConfig's field values.
+
+    The checks run in the order the design carriers run them, so a failed
+    point's status is the error text that ``config.solve()`` raises.
+    """
+    try:
+        check_stack(substrate_E, substrate_t, piezo_E, piezo_t, beam_width, beam_length)
+        a, span = check_mirror(mirror_side, beam_length)
+        force = end_force(beam_width, piezo_t, piezo_E, d31, voltage, beam_length)
+        rigidity = section(substrate_E, substrate_t, piezo_E, piezo_t, beam_width)[3]
+        r_a, tilt_signed, y_max, _ = statics(force, a, span, rigidity)
+    except ValueError as exc:
+        return value, math.nan, math.nan, math.nan, math.nan, str(exc)
+    return value, math.degrees(abs(tilt_signed)), y_max, force, r_a, "ok"
+
+
+def _points(base: ScanConfig, field: str, values):
+    """SweepRecord fields, as tuples, of base with field set to each value in turn."""
+    design = [getattr(base, name) for name in _FIELDS]
+    index = _FIELDS.index(field)
+    for value in values:
+        design[index] = value
+        yield _point(value, *design)
+
+
+def sweep_points(spec: SweepSpec):
+    """The sweep grid's SweepRecord fields, as tuples, one point at a time."""
+    return _points(spec.base, AXES[spec.axis], spec.grid())
+
+
 def evaluate_point(config: ScanConfig, value: float) -> SweepRecord:
     """Solve one design; value is the swept parameter it is recorded under."""
-    try:
-        sol = config.solve()
-    except ValueError as exc:
-        return SweepRecord(
-            param_value=value, tilt_deg=math.nan, y_max_m=math.nan,
-            force_N=math.nan, reaction_N=math.nan, status=str(exc),
-        )
-    return SweepRecord(
-        param_value=value,
-        tilt_deg=math.degrees(sol.tilt),
-        y_max_m=sol.y_max,
-        force_N=sol.force,
-        reaction_N=sol.reaction,
-    )
+    return SweepRecord(*_point(value, *(getattr(config, name) for name in _FIELDS)))
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
@@ -132,10 +158,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     rather than dropped; every evaluation is pure, so the result does not
     depend on evaluation order.
     """
-    step = (spec.stop - spec.start) / (spec.steps - 1)
-    values = [spec.start + i * step for i in range(spec.steps)]
-    values[-1] = spec.stop
-    return [evaluate_point(spec.with_value(v), v) for v in values]
+    return [SweepRecord(*point) for point in sweep_points(spec)]
 
 
 _OBJECTIVES = ("tilt", "y_max")
@@ -144,10 +167,10 @@ _REL_TOL = 1e-4  # golden-section stop: bracket width relative to the larger |bo
 
 
 def _objective_value(spec: SweepSpec, objective: str, value: float) -> float:
-    rec = evaluate_point(spec.with_value(value), value)
-    if not rec.ok:
-        raise ValueError(f"objective undefined at {value}: {rec.status}")
-    return rec.tilt_deg if objective == "tilt" else rec.y_max_m
+    _, tilt_deg, y_max, _, _, status = next(_points(spec.base, AXES[spec.axis], (value,)))
+    if status != "ok":
+        raise ValueError(f"objective undefined at {value}: {status}")
+    return tilt_deg if objective == "tilt" else y_max
 
 
 def optimize_1d(spec: SweepSpec, objective: str = "tilt") -> tuple[float, float]:
@@ -207,5 +230,5 @@ TABLE1_BEAM_LENGTHS = (850e-6, 600e-6, 500e-6)
 
 def table1() -> list[SweepRecord]:
     """The three reference designs: 850/600/500 um beams, 30 um wide, 50 V."""
-    return [evaluate_point(replace(reference_config(), beam_length=length), length)
-            for length in TABLE1_BEAM_LENGTHS]
+    return [SweepRecord(*point)
+            for point in _points(reference_config(), "beam_length", TABLE1_BEAM_LENGTHS)]

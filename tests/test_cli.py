@@ -2,7 +2,9 @@ import dataclasses
 import hashlib
 import os
 import pathlib
+import random
 import stat
+import struct
 import subprocess
 import sys
 import textwrap
@@ -10,7 +12,7 @@ import textwrap
 import pytest
 
 import piezoscanner
-from piezoscanner.cli import MAX_SAMPLES, MAX_STEPS, _write_atomic, run
+from piezoscanner.cli import MAX_SAMPLES, MAX_STEPS, _fmt, _write_atomic, run
 from piezoscanner.config import ConfigError, parse_config
 from piezoscanner.sweep import reference_config
 
@@ -230,6 +232,55 @@ def test_readme_bytes_pinned(config_path, tmp_path, capsys, command):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# Scanner A's 2,000-point sweep on each axis, then sweeps whose points fail or
+# overflow: (axis, from, to) -> (exit code, SHA-256 of the CSV). Every status
+# text is part of the bytes.
+SWEEP_PINS = {
+    ("beam_length", "100e-6", "2000e-6"):
+        (0, "2bc3cfc2ac19c2c3f7e97f2276abccc4b1a15a2513c74a298a0a2f42e615a3d5"),
+    ("beam_width", "5e-6", "200e-6"):
+        (0, "1c0dd92327959b216e59474c890b837899ba4201b394fd34327694b22763aa4d"),
+    ("substrate_thickness", "0.2e-6", "20e-6"):
+        (0, "1786596c819e68d307bce4cfdece19feadb3972f5b78a58818157a10c60581fa"),
+    ("piezo_thickness", "0.2e-6", "20e-6"):
+        (0, "ddca4539e3296e1aa05481759da97ace114e0e8c5f93654ff6ec30772ee85fee"),
+    ("mirror_side", "50e-6", "1000e-6"):
+        (0, "6ff9f2da2343cbe08d9a5d5549a9481d5ab1fb6386ac3a550923c33cb5a4bc02"),
+    ("voltage", "-200", "200"):
+        (0, "5450223857ef2a81d21c19e2b863eeca511ab40330a0648388015a8b600e415c"),
+    ("beam_length", "-1e-3", "1e-3"):
+        (2, "4afce29133edbaa5add7fde1f5370760144b22439621a5f79fa0fa962af113f0"),
+    ("mirror_side", "1e-330", "1e-323"):
+        (2, "c941c10144347168c64ad5ac5541bd4bf32b4abbb0e79e6efcbcb41428d73996"),
+    ("piezo_thickness", "1e100", "1e300"):
+        (2, "0d61ffec3e8fda5965b51e0eb0c2f98a02da3975d5b0a59bc10f02e2cda1fea2"),
+    ("voltage", "1e300", "1.7e308"):
+        (0, "d12529dc97d785f476b7a743086fb2315b0456ada7001fd7f0019b71c6b14bf1"),
+}
+
+
+@pytest.mark.parametrize("axis, start, stop", sorted(SWEEP_PINS),
+                         ids=["_".join(key) for key in sorted(SWEEP_PINS)])
+def test_sweep_bytes_pinned(config_path, tmp_path, capsys, axis, start, stop):
+    """2,000-point sweeps keep their CSV bytes and exit code across versions of the code."""
+    code, digest = SWEEP_PINS[axis, start, stop]
+    out = tmp_path / "s.csv"
+    assert run(["sweep", "--config", config_path, "--axis", axis, f"--from={start}", f"--to={stop}",
+                "--steps", "2000", "--out", str(out)]) == code
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_row_format_is_fmt():
+    """The CSV rows' one "%.9g" format per row renders each cell as _fmt does."""
+    rng = random.Random(20261018)
+    special = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, sys.float_info.max,
+               -sys.float_info.max, float("inf"), float("-inf"), float("nan")]
+    drawn = [struct.unpack("<d", struct.pack("<Q", rng.getrandbits(64)))[0] for _ in range(200_000)]
+    mismatched = [v for v in special + drawn if "%.9g" % v != _fmt(v)]
+    assert mismatched == []
+
+
 class TestSweepCommand:
     def test_sweep_csv(self, config_path, tmp_path):
         out = str(tmp_path / "s.csv")
@@ -424,7 +475,7 @@ class TestAtomicWrites:
 
         def rows():
             for i in range(3):
-                yield [str(i), "0"]
+                yield f"{i},0\n"
             raise ValueError("row 3 fails")
 
         with pytest.raises(ValueError, match="row 3 fails"):

@@ -169,6 +169,12 @@ class TestEquivalentSection:
         with pytest.raises(ValueError):
             equivalent_section(reference_stack, "geometric-mean")
 
+    def test_layers_summed_left_to_right(self, reference_stack):
+        """The same last bit on every interpreter: sum() compensates its rounding
+        since Python 3.12, and gives 0x1.c245dbe9fecb6p-38 there."""
+        stack = dataclasses.replace(reference_stack, substrate_t=1e-6)
+        assert equivalent_section(stack).rigidity.hex() == "0x1.c245dbe9fecb7p-38"
+
     @given(stack=physical_stacks())
     def test_rigidity_independent_of_normalization(self, stack):
         rigs = [equivalent_section(stack, c).rigidity for c in ("substrate", "piezo", "max")]

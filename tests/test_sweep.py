@@ -2,8 +2,12 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from piezoscanner.scanner import solve_scanner
 from piezoscanner.sweep import (
+    AXES,
     ScanConfig,
     SweepSpec,
     optimize_1d,
@@ -11,6 +15,8 @@ from piezoscanner.sweep import (
     run_sweep,
     table1,
 )
+
+from conftest import drive_voltages, physical_stacks
 
 # Paper-reported tilt/deflection for the three reference designs at 50 V.
 TABLE1_EXPECTED = {
@@ -74,6 +80,48 @@ class TestRunSweep:
     def test_determinism(self):
         spec = beam_length_spec(steps=11)
         assert run_sweep(spec) == run_sweep(spec)
+
+
+# Values at or below 0, that overflow a stage, or that underflow to 0 or a subnormal.
+EXTREMES = st.sampled_from([0.0, -0.0, -1e-6, -1e300, 1e100, 1e200, 1e300, 1.7e308, 1e-300,
+                            1e-320, 5e-324])
+
+
+@st.composite
+def sweep_bases(draw):
+    """A physical design, possibly with one field set to an extreme value."""
+    stack = draw(physical_stacks())
+    config = ScanConfig(
+        substrate_E=stack.substrate_E, piezo_E=stack.piezo_E, d31=stack.d31,
+        substrate_t=stack.substrate_t, piezo_t=stack.piezo_t, beam_width=stack.width,
+        beam_length=stack.length, mirror_side=draw(st.floats(min_value=50e-6, max_value=1000e-6)),
+        voltage=draw(drive_voltages()),
+    )
+    if draw(st.booleans()):
+        field = draw(st.sampled_from([f.name for f in dataclasses.fields(ScanConfig)]))
+        config = dataclasses.replace(config, **{field: draw(EXTREMES)})
+    return config
+
+
+@given(base=sweep_bases(), axis=st.sampled_from(sorted(AXES)),
+       ends=st.lists(st.one_of(EXTREMES, st.floats(min_value=1e-7, max_value=1e-3)),
+                     min_size=2, max_size=2, unique=True))
+def test_sweep_point_is_model_path(base, axis, ends):
+    """Each record holds the model path's floats bit for bit, or its error text."""
+    start, stop = sorted(ends)
+    assume(math.isfinite(stop - start))
+    for rec in run_sweep(SweepSpec(base=base, axis=axis, start=start, stop=stop, steps=3)):
+        design = dataclasses.replace(base, **{AXES[axis]: rec.param_value})
+        try:
+            sol = solve_scanner(design.geometry(), design.voltage)
+        except ValueError as exc:
+            assert rec.status == str(exc)
+            assert all(map(math.isnan, (rec.tilt_deg, rec.y_max_m, rec.force_N, rec.reaction_N)))
+            continue
+        assert rec.status == "ok"
+        expected = (math.degrees(sol.tilt), sol.y_max, sol.force, sol.reaction)
+        got = (rec.tilt_deg, rec.y_max_m, rec.force_N, rec.reaction_N)
+        assert [v.hex() for v in got] == [v.hex() for v in expected]
 
 
 class TestOptimize:
