@@ -1,20 +1,20 @@
 #!/usr/bin/env python3
 """Grid-refinement study of the finite-difference beam solver against the
-closed-form profile of the reference design."""
+closed-form profile of the reference design.
 
-from piezoscanner import equivalent_force, equivalent_section, reference_config
+It prints the max-norm error and the observed order at five resolutions
+(101 to 1,601 nodes). `piezoscanner verify` reduces the same study to one
+number, the smallest order over 101/201/401 nodes; this table shows the
+error falling by ~4x per halving of the grid step across the whole range.
+"""
+
+from piezoscanner import reference_config
 from piezoscanner.oracle import BeamProblem, convergence_orders, convergence_study
 
 
 def main():
-    cfg = reference_config()
-    geometry = cfg.geometry()
-    problem = BeamProblem(
-        span=geometry.half_span,
-        a=geometry.a,
-        force=equivalent_force(geometry.stack, cfg.voltage),
-        rigidity=equivalent_section(geometry.stack).rigidity,
-    )
+    force, rigidity, a, span, *_ = reference_config().solve()
+    problem = BeamProblem(span=span, a=a, force=force, rigidity=rigidity)
     counts = [101, 201, 401, 801, 1601]
     errors = convergence_study(problem, counts)
     orders = [None] + convergence_orders(counts, errors)

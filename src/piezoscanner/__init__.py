@@ -7,7 +7,7 @@ sweeps/optimizes the geometry for scan angle.
 """
 
 from .multimorph import EquivalentSection, MultimorphStack, equivalent_force, equivalent_section
-from .scanner import ScannerGeometry, ScannerSolution, solve_scanner
+from .scanner import ScannerGeometry, solve_scanner
 from .sweep import ScanConfig, SweepRecord, SweepSpec, optimize_1d, reference_config, run_sweep, table1
 
 __all__ = [
@@ -16,7 +16,6 @@ __all__ = [
     "equivalent_force",
     "equivalent_section",
     "ScannerGeometry",
-    "ScannerSolution",
     "solve_scanner",
     "ScanConfig",
     "SweepRecord",

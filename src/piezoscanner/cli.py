@@ -9,7 +9,6 @@ is byte-stable for identical inputs.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -75,16 +74,17 @@ def _check_csv_units(values: tuple[float, ...]) -> None:
         raise ValueError(f"a result overflows in CSV units: {', '.join(map(_fmt, values))}")
 
 
-def _model_row(solution: scanner.ScannerSolution) -> list[str]:
-    values = (math.degrees(solution.tilt), solution.y_max * 1e6, solution.x_at_ymax * 1e6,
-              abs(solution.force) * 1e6, solution.reaction * 1e6, solution.rigidity)
+def _model_row(force: float, rigidity: float, a: float, half_span: float, reaction: float,
+               tilt_signed: float, y_max: float, x_at_ymax: float) -> list[str]:
+    """The model CSV's cells of a solve_scanner result."""
+    values = (math.degrees(abs(tilt_signed)), y_max * 1e6, x_at_ymax * 1e6, abs(force) * 1e6,
+              reaction * 1e6, rigidity)
     _check_csv_units(values)
     return [_fmt(value) for value in values]
 
 
 def _cmd_model(args) -> int:
-    solution = _load_config(args.config).solve()
-    row = _model_row(solution)
+    row = _model_row(*_load_config(args.config).solve())
     print(
         f"phi_deg={row[0]} y_max_um={row[1]} x_at_ymax_um={row[2]} "
         f"F_uN={row[3]} R_A_uN={row[4]} rigidity_Nm2={row[5]}"
@@ -98,11 +98,10 @@ def _cmd_profile(args) -> int:
     config = _load_config(args.config)
     if not 2 <= args.samples <= MAX_SAMPLES:
         raise ConfigError(f"--samples must be in [2, {MAX_SAMPLES}]")
-    geometry = config.geometry()
-    solution = scanner.solve_scanner(geometry, config.voltage)
-    _model_row(solution)  # every |y| is at most y_max: this bounds the rows in CSV units too
-    points = scanner.profile_points(args.samples, solution.force, geometry.a, geometry.half_span,
-                                    solution.rigidity)
+    solution = config.solve()
+    _model_row(*solution)  # every |y| is at most y_max: this bounds the rows in CSV units too
+    force, rigidity, a, half_span = solution[:4]
+    points = scanner.profile_points(args.samples, force, a, half_span, rigidity)
     # "%.9g" renders every float as _fmt does, in one format per row.
     _write_atomic(args.out, "x_um,y_um", ("%.9g,%.9g\n" % (u * 1e6, y * 1e6) for u, y in points))
     return EXIT_OK
@@ -155,7 +154,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_table1(args) -> int:
     records = sweep_mod.table1()
     _write_atomic(args.out, _SWEEP_HEADER,
-                  [_sweep_row("beam_length", *dataclasses.astuple(rec)) for rec in records])
+                  [_sweep_row("beam_length", *rec) for rec in records])
     for rec in records:
         print(
             f"beam_length_um={_fmt(rec.param_value * 1e6)} "

@@ -28,7 +28,9 @@ class MultimorphStack:
     """Geometry and constants of the substrate + 2 piezo layer stack.
 
     Both piezoelectric layers share ``piezo_t`` and ``piezo_E``. All values
-    are SI: Pa, m, m/V.
+    are SI: Pa, m, m/V. No model path builds one: perfbench and
+    verification's 4x4 check bind it, and it runs :func:`check_stack` as the
+    model does.
     """
 
     substrate_E: float
@@ -68,7 +70,8 @@ class EquivalentSection:
     h_eq is the neutral-axis height above the substrate bottom, i_eq the
     transformed-section moment of inertia for the normalizing modulus
     e_ref, and rigidity the flexural rigidity e_ref * i_eq. The rigidity is
-    independent of which layer modulus normalizes the widths.
+    independent of which layer modulus normalizes the widths. No model path
+    builds one; perfbench and verification's 4x4 check read it.
     """
 
     h_eq: float
@@ -117,7 +120,10 @@ def section(substrate_E: float, substrate_t: float, piezo_E: float, piezo_t: flo
 
 
 def equivalent_section(stack: MultimorphStack, e_ref_choice: str = "max") -> EquivalentSection:
-    """Homogenize the stack by normalizing layer widths with e_ref (:func:`section`)."""
+    """Homogenize the stack by normalizing layer widths with e_ref (:func:`section`).
+
+    No model path calls this; perfbench and verification's 4x4 check do.
+    """
     return EquivalentSection(*section(stack.substrate_E, stack.substrate_t, stack.piezo_E,
                                       stack.piezo_t, stack.width, e_ref_choice))
 
@@ -133,6 +139,8 @@ def equivalent_force(stack: MultimorphStack, voltage: float) -> float:
 
     F = 3 * rigidity / L^3 * y_tip, which reduces to (3/2) W t_p E_p d31 V / L.
     Signed: follows the sign of d31 * V. Float products never raise: an
-    overflow gives +-inf, which `solve_scanner` rejects as non-finite.
+    overflow gives +-inf, which `scanner.statics` rejects as non-finite. No
+    model path calls this (the model calls :func:`end_force`); perfbench and
+    verification's 4x4 check do.
     """
     return end_force(stack.width, stack.piezo_t, stack.piezo_E, stack.d31, voltage, stack.length)

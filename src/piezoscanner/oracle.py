@@ -135,10 +135,11 @@ def profile_error(problem: BeamProblem, solution: OracleSolution) -> float:
     The closed form is evaluated at the snapped junction so both sides
     solve the identical problem.
     """
-    x = solution.grid
-    args = (problem.force, solution.a_snapped, problem.span, problem.rigidity)
-    closed = np.where(x <= solution.a_snapped, scanner._mirror_branch(x, *args),
-                      scanner._beam_branch(x, *args))
+    x, a, span, force = solution.grid, solution.a_snapped, problem.span, problem.force
+    den = scanner._profile_denominator(a, span, problem.rigidity)
+    mirror = scanner._mirror_coefficient(force, a, span)
+    closed = np.where(x <= a, mirror * x / den,
+                      scanner._beam(x, force * a, scanner._cubic_coefficients(a, span), den))
     scale = np.max(np.abs(closed))
     if scale == 0:
         return float(np.max(np.abs(solution.deflection)))

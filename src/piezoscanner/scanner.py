@@ -8,11 +8,13 @@ by symmetry to half the span: a simple support at the mirror center A
 half-mirror (zero curvature); segment [B, C] bends with the multimorph's
 equivalent rigidity.
 
-The closed forms are plain arithmetic on a checked design: they assume
-0 < a < span and rigidity > 0. :func:`check_mirror` is the model's one
-check of the half-beam geometry, which :class:`ScannerGeometry` and each
-sweep point run, and :class:`piezoscanner.oracle.BeamProblem` the oracle's. A stack's rigidity is positive unless it underflows to 0,
-which :func:`tilt` meets first as a division by zero.
+:func:`solve_scanner` is the model's one solve of a design, on the plain
+floats of its fields: `model`, `profile`, the sweeps, the optimizer,
+`table1` and `verify`'s oracle checks all solve through it.
+:func:`check_mirror` is the model's one check of the half-beam geometry,
+and :class:`piezoscanner.oracle.BeamProblem` the oracle's. The closed forms
+assume 0 < a < span and rigidity > 0. A stack's rigidity is positive
+unless it underflows to 0, which :func:`statics` meets as a division by zero.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .multimorph import MultimorphStack, OutOfRangeError, equivalent_force, equivalent_section
+from .multimorph import MultimorphStack, OutOfRangeError, check_stack, end_force, section
 
 
 @dataclass(frozen=True)
@@ -28,7 +30,8 @@ class ScannerGeometry:
     """Mirror plus multimorph half-device geometry.
 
     a is the support-to-junction distance (half the mirror side);
-    half_span = a + beam length.
+    half_span = a + beam length. No model path builds one: perfbench and
+    the tests bind it, and it runs :func:`check_mirror` as the model does.
     """
 
     stack: MultimorphStack
@@ -58,22 +61,6 @@ def check_mirror(mirror_side: float, length: float) -> tuple[float, float]:
         raise OutOfRangeError("half span", f"a + L rounds to a for a beam length of {length} m "
                               f"and a mirror side of {mirror_side} m")
     return a, span
-
-
-@dataclass(frozen=True)
-class ScannerSolution:
-    """Static response of the scanner at one drive voltage.
-
-    tilt and y_max are magnitudes; tilt_signed keeps the orientation.
-    """
-
-    force: float
-    reaction: float
-    tilt: float
-    tilt_signed: float
-    y_max: float
-    x_at_ymax: float
-    rigidity: float
 
 
 def reaction(force: float, a: float, span: float) -> float:
@@ -114,62 +101,10 @@ def _beam(x, force_a, cubic, den):
     return force_a * (c3 * x**3 + x**2 * c2 + x * c1 - c0) / den
 
 
-def _mirror_branch(x: float, force: float, a: float, span: float, rigidity: float) -> float:
-    den = _profile_denominator(a, span, rigidity)
-    return _mirror_coefficient(force, a, span) * x / den
-
-
-def _beam_branch(x: float, force: float, a: float, span: float, rigidity: float) -> float:
-    den = _profile_denominator(a, span, rigidity)
-    return _beam(x, force * a, _cubic_coefficients(a, span), den)
-
-
-def _mirror_branch_slope(force: float, a: float, span: float, rigidity: float) -> float:
-    den = _profile_denominator(a, span, rigidity)
-    return _mirror_coefficient(force, a, span) / den
-
-
-def _beam_branch_slope(x: float, force: float, a: float, span: float, rigidity: float) -> float:
-    den = _profile_denominator(a, span, rigidity)
-    qa, qb, qc = _slope_coefficients(a, span)
-    return force * a * (qa * x**2 + qb * x + qc) / den
-
-
-def profile_half(x: float, force: float, a: float, span: float, rigidity: float) -> float:
-    """Signed deflection of the half-model at x.
-
-    Linear (rigid rotation) on the mirror segment, cubic on the flexible
-    segment; the two branches share value and slope at the junction and the
-    cubic satisfies y = y' = 0 at the clamp.
-    """
-    if x <= a:
-        return _mirror_branch(x, force, a, span, rigidity)
-    return _beam_branch(x, force, a, span, rigidity)
-
-
-def profile_half_slope(x: float, force: float, a: float, span: float, rigidity: float) -> float:
-    """Analytic derivative of :func:`profile_half`."""
-    if x <= a:
-        return _mirror_branch_slope(force, a, span, rigidity)
-    return _beam_branch_slope(x, force, a, span, rigidity)
-
-
-def tilt(force: float, a: float, span: float, rigidity: float) -> float:
-    """Signed mirror tilt: arctan of the rigid segment's slope."""
-    return math.atan(_mirror_branch_slope(force, a, span, rigidity))
-
-
-def max_deflection(force: float, a: float, span: float, rigidity: float) -> tuple[float, float]:
-    """Largest |deflection| on the flexible segment and its location."""
-    if force == 0:
-        return 0.0, a
-    den = _profile_denominator(a, span, rigidity)
-    return _max_deflection(force, a, span, den, _mirror_coefficient(force, a, span))
-
-
 def _max_deflection(force: float, a: float, span: float, den: float,
                     mirror: float) -> tuple[float, float]:
-    """:func:`max_deflection` from the design's profile denominator and mirror coefficient.
+    """Largest |deflection| on the flexible segment and its location, from the
+    design's profile denominator and mirror coefficient.
 
     The stationary points of the cubic branch are the roots of its slope
     bracket (:func:`_slope_coefficients`): the clamp x = L and one point
@@ -212,16 +147,22 @@ def statics(force: float, a: float, span: float, rigidity: float) -> tuple[float
     return r_a, tilt_signed, y_max, x_at
 
 
-def solve_scanner(geometry: ScannerGeometry, voltage: float) -> ScannerSolution:
-    """Scalar static solution: force, reaction, tilt, y_max and rigidity.
+def solve_scanner(substrate_E: float, piezo_E: float, d31: float, substrate_t: float,
+                  piezo_t: float, beam_width: float, beam_length: float, mirror_side: float,
+                  voltage: float) -> tuple[float, float, float, float, float, float, float, float]:
+    """(force, rigidity, a, half_span, reaction, tilt_signed, y_max, x_at_ymax) of one design,
+    given by the field values of :class:`~piezoscanner.sweep.ScanConfig` in its field order.
 
-    Nothing is sampled here; :func:`profile_points` samples the profile.
+    The stack is checked first, then the mirror, so a design that fails both
+    raises the stack's error. Nothing is sampled; :func:`profile_points`
+    samples the profile.
     """
-    force = equivalent_force(geometry.stack, voltage)
-    rigidity = equivalent_section(geometry.stack).rigidity
-    r_a, tilt_signed, y_max, x_at = statics(force, geometry.a, geometry.half_span, rigidity)
-    return ScannerSolution(force=force, reaction=r_a, tilt=abs(tilt_signed),
-                           tilt_signed=tilt_signed, y_max=y_max, x_at_ymax=x_at, rigidity=rigidity)
+    check_stack(substrate_E, substrate_t, piezo_E, piezo_t, beam_width, beam_length)
+    a, span = check_mirror(mirror_side, beam_length)
+    force = end_force(beam_width, piezo_t, piezo_E, d31, voltage, beam_length)
+    rigidity = section(substrate_E, substrate_t, piezo_E, piezo_t, beam_width)[3]
+    r_a, tilt_signed, y_max, x_at = statics(force, a, span, rigidity)
+    return force, rigidity, a, span, r_a, tilt_signed, y_max, x_at
 
 
 def profile_points(samples: int, force: float, a: float, span: float, rigidity: float):

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, fields
 
 from . import materials
-from .multimorph import MultimorphStack, check_stack, end_force, section
-from .scanner import ScannerGeometry, ScannerSolution, check_mirror, solve_scanner, statics
+from .multimorph import MultimorphStack
+from .scanner import ScannerGeometry, solve_scanner
 
 
 @dataclass(frozen=True)
@@ -25,6 +26,8 @@ class ScanConfig:
     voltage: float
 
     def geometry(self) -> ScannerGeometry:
+        """The design as the stack and mirror carriers. No model path calls this:
+        perfbench and the tests bind it."""
         stack = MultimorphStack(
             substrate_E=self.substrate_E,
             substrate_t=self.substrate_t,
@@ -36,8 +39,10 @@ class ScanConfig:
         )
         return ScannerGeometry(stack=stack, mirror_side=self.mirror_side)
 
-    def solve(self) -> ScannerSolution:
-        return solve_scanner(self.geometry(), self.voltage)
+    def solve(self) -> tuple[float, float, float, float, float, float, float, float]:
+        """(force, rigidity, a, half_span, reaction, tilt_signed, y_max, x_at_ymax); see
+        :func:`~piezoscanner.scanner.solve_scanner`."""
+        return solve_scanner(*(getattr(self, name) for name in _FIELDS))
 
 
 def reference_config() -> ScanConfig:
@@ -97,58 +102,37 @@ class SweepSpec:
         yield self.stop
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(namedtuple("SweepRecord", ("param_value", "tilt_deg", "y_max_m", "force_N",
+                                             "reaction_N", "status"), defaults=("ok",))):
     """One sweep point. status is 'ok' or the error text of a failed point."""
 
-    param_value: float
-    tilt_deg: float
-    y_max_m: float
-    force_N: float
-    reaction_N: float
-    status: str = "ok"
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return self.status == "ok"
 
 
-def _point(value: float, substrate_E: float, piezo_E: float, d31: float, substrate_t: float,
-           piezo_t: float, beam_width: float, beam_length: float, mirror_side: float,
-           voltage: float) -> tuple:
-    """The SweepRecord fields of one design given by ScanConfig's field values.
-
-    The checks run in the order the design carriers run them, so a failed
-    point's status is the error text that ``config.solve()`` raises.
-    """
-    try:
-        check_stack(substrate_E, substrate_t, piezo_E, piezo_t, beam_width, beam_length)
-        a, span = check_mirror(mirror_side, beam_length)
-        force = end_force(beam_width, piezo_t, piezo_E, d31, voltage, beam_length)
-        rigidity = section(substrate_E, substrate_t, piezo_E, piezo_t, beam_width)[3]
-        r_a, tilt_signed, y_max, _ = statics(force, a, span, rigidity)
-    except ValueError as exc:
-        return value, math.nan, math.nan, math.nan, math.nan, str(exc)
-    return value, math.degrees(abs(tilt_signed)), y_max, force, r_a, "ok"
-
-
 def _points(base: ScanConfig, field: str, values):
-    """SweepRecord fields, as tuples, of base with field set to each value in turn."""
+    """SweepRecord fields, as tuples, of base with field set to each value in turn.
+
+    A failed point's status is the error text that :func:`solve_scanner` raises.
+    """
     design = [getattr(base, name) for name in _FIELDS]
     index = _FIELDS.index(field)
     for value in values:
         design[index] = value
-        yield _point(value, *design)
+        try:
+            force, _, _, _, r_a, tilt_signed, y_max, _ = solve_scanner(*design)
+        except ValueError as exc:
+            yield value, math.nan, math.nan, math.nan, math.nan, str(exc)
+        else:
+            yield value, math.degrees(abs(tilt_signed)), y_max, force, r_a, "ok"
 
 
 def sweep_points(spec: SweepSpec):
     """The sweep grid's SweepRecord fields, as tuples, one point at a time."""
     return _points(spec.base, AXES[spec.axis], spec.grid())
-
-
-def evaluate_point(config: ScanConfig, value: float) -> SweepRecord:
-    """Solve one design; value is the swept parameter it is recorded under."""
-    return SweepRecord(*_point(value, *(getattr(config, name) for name in _FIELDS)))
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRecord]:

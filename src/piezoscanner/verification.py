@@ -3,8 +3,10 @@
 The layer force resultants and curvature solve a 4x4 system (in-plane and
 moment equilibrium, two interface continuity conditions). Its tip
 deflection gives the pipeline force 3 EI / L^3 * y_tip, which must equal
-:func:`multimorph.equivalent_force` to round-off. No model path calls this
-module; the CLI loads it, and numpy with it, only for `verify`.
+:func:`multimorph.equivalent_force` to round-off. The profile checks read
+both half-profile branches from scanner's coefficients (:func:`branches`).
+No model path calls this module; the CLI loads it, and numpy with it, only
+for `verify`.
 
 Domain: the tests' `physical_stacks` (moduli 10-500 GPa, layers 0.2-20 um
 thick, |d31| up to 500 pm/V, widths 5-200 um, lengths 100-2000 um). The
@@ -131,20 +133,28 @@ def random_stack(rng: np.random.Generator) -> MultimorphStack:
     )
 
 
+def branches(x: float, force: float, a: float, span: float,
+             rigidity: float) -> tuple[float, float, float, float]:
+    """(mirror y, beam y, mirror y', beam y') of the half profile at x, both branches
+    evaluated from scanner's per-design coefficients as the model evaluates them."""
+    den = scanner._profile_denominator(a, span, rigidity)
+    mirror = scanner._mirror_coefficient(force, a, span)
+    cubic = scanner._cubic_coefficients(a, span)
+    qa, qb, qc = scanner._slope_coefficients(a, span)
+    return (mirror * x / den, scanner._beam(x, force * a, cubic, den),
+            mirror / den, force * a * (qa * x**2 + qb * x + qc) / den)
+
+
 def checks(nodes: int):
     """Yield (name, residual, tolerance) for the whole verification suite."""
-    cfg = sweep.reference_config()
-    geometry = cfg.geometry()
-    force = multimorph.equivalent_force(geometry.stack, cfg.voltage)
-    rigidity = multimorph.equivalent_section(geometry.stack).rigidity
-    a, span = geometry.a, geometry.half_span
+    force, rigidity, a, span, *_ = sweep.reference_config().solve()
 
     problem = oracle.BeamProblem(span=span, a=a, force=force, rigidity=rigidity, nodes=nodes)
     fd = oracle.solve_fd(problem)
     r_closed = scanner.reaction(force, fd.a_snapped, span)
     yield "oracle_reaction", abs(fd.reaction - r_closed) / abs(r_closed), 5e-3
     yield "oracle_profile_maxnorm", oracle.profile_error(problem, fd), 5e-3
-    tilt_closed = abs(scanner.tilt(force, fd.a_snapped, span, rigidity))
+    tilt_closed = abs(scanner.statics(force, fd.a_snapped, span, rigidity)[1])
     yield "oracle_tilt", abs(fd.tilt() - tilt_closed) / tilt_closed, 5e-3
 
     counts = [101, 201, 401]
@@ -179,21 +189,20 @@ def checks(nodes: int):
         rig = multimorph.equivalent_section(stack).rigidity
         aa = rng.uniform(10e-6, 500e-6)
         sp = aa + stack.length
-        y_max, _ = scanner.max_deflection(f, aa, sp, rig)
+        _, tilt_signed, y_max, _ = scanner.statics(f, aa, sp, rig)
+        y0, _, dy0, _ = branches(0.0, f, aa, sp, rig)
+        _, y_end, _, dy_end = branches(sp, f, aa, sp, rig)
+        y_a, y_b, dy_a, dy_b = branches(aa, f, aa, sp, rig)
         res = max(
-            abs(scanner.profile_half(0.0, f, aa, sp, rig)),
-            abs(scanner.profile_half(sp, f, aa, sp, rig)),
-            abs(scanner.profile_half_slope(sp, f, aa, sp, rig)) * sp,
-            abs(scanner._mirror_branch(aa, f, aa, sp, rig)
-                - scanner._beam_branch(aa, f, aa, sp, rig)),
-            abs(scanner._mirror_branch_slope(f, aa, sp, rig)
-                - scanner._beam_branch_slope(aa, f, aa, sp, rig)) * sp,
+            abs(y0),
+            abs(y_end),
+            abs(dy_end) * sp,
+            abs(y_a - y_b),
+            abs(dy_a - dy_b) * sp,
             # straightness of the mirror segment: second difference
-            abs(scanner.profile_half(aa / 4, f, aa, sp, rig)
-                - 2 * scanner.profile_half(aa / 2, f, aa, sp, rig)
-                + scanner.profile_half(3 * aa / 4, f, aa, sp, rig)),
-            abs(math.tan(abs(scanner.tilt(f, aa, sp, rig)))
-                - abs(scanner.profile_half_slope(0.0, f, aa, sp, rig))) * sp,
+            abs(branches(aa / 4, f, aa, sp, rig)[0] - 2 * branches(aa / 2, f, aa, sp, rig)[0]
+                + branches(3 * aa / 4, f, aa, sp, rig)[0]),
+            abs(math.tan(abs(tilt_signed)) - abs(dy0)) * sp,
         )
         worst_profile = max(worst_profile, res / y_max)
     yield "profile_invariants", worst_profile, 1e-12

@@ -1,8 +1,12 @@
+from collections import namedtuple
+
 import pytest
 from hypothesis import strategies as st
 
 from piezoscanner.multimorph import MultimorphStack
-from piezoscanner.scanner import ScannerGeometry, profile_points, solve_scanner
+from piezoscanner.scanner import profile_points
+from piezoscanner.sweep import ScanConfig
+from piezoscanner.verification import branches
 
 # Reference design: silicon substrate with PZT-5H layers, 850 um beam.
 REFERENCE_STACK = MultimorphStack(
@@ -21,11 +25,30 @@ def reference_stack():
     return REFERENCE_STACK
 
 
-def sampled(geometry: ScannerGeometry, voltage: float, samples: int):
+# solve_scanner's result, by field name.
+Solution = namedtuple("Solution", "force rigidity a half_span reaction tilt_signed y_max x_at_ymax")
+
+
+def design(stack: MultimorphStack, mirror_side: float, voltage: float) -> ScanConfig:
+    """The design record of a stack, a mirror side and a drive voltage."""
+    return ScanConfig(
+        substrate_E=stack.substrate_E, piezo_E=stack.piezo_E, d31=stack.d31,
+        substrate_t=stack.substrate_t, piezo_t=stack.piezo_t, beam_width=stack.width,
+        beam_length=stack.length, mirror_side=mirror_side, voltage=voltage,
+    )
+
+
+def sampled(config: ScanConfig, samples: int):
     """The scalar solution and the sampled full-device profile of one design."""
-    sol = solve_scanner(geometry, voltage)
-    points = profile_points(samples, sol.force, geometry.a, geometry.half_span, sol.rigidity)
+    sol = Solution(*config.solve())
+    points = profile_points(samples, sol.force, sol.a, sol.half_span, sol.rigidity)
     return sol, list(points)
+
+
+def half(x: float, force: float, a: float, span: float, rigidity: float) -> tuple[float, float]:
+    """(y, y') of the half profile at x: the mirror branch up to a, the beam branch past it."""
+    y_mirror, y_beam, dy_mirror, dy_beam = branches(x, force, a, span, rigidity)
+    return (y_mirror, dy_mirror) if x <= a else (y_beam, dy_beam)
 
 
 def drive_voltages():

@@ -74,18 +74,16 @@ def test_criterion_5_oracle_agreement(suite):
 
 def test_criterion_6_trivial_cases():
     cfg = sweep.reference_config()
-    geometry = cfg.geometry()
-    zero_v, zero_v_profile = sampled(geometry, 0.0, 51)
-    ok = zero_v.force == 0.0 and zero_v.tilt == 0.0
+    zero_v, zero_v_profile = sampled(dataclasses.replace(cfg, voltage=0.0), 51)
+    ok = zero_v.force == 0.0 and zero_v.tilt_signed == 0.0
     ok &= all(y == 0.0 for _, y in zero_v_profile)
 
-    dead = dataclasses.replace(cfg, d31=0.0).geometry()
-    zero_d, zero_d_profile = sampled(dead, 50.0, 51)
-    ok &= zero_d.force == 0.0 and zero_d.tilt == 0.0
+    zero_d, zero_d_profile = sampled(dataclasses.replace(cfg, d31=0.0), 51)
+    ok &= zero_d.force == 0.0 and zero_d.tilt_signed == 0.0
     ok &= all(y == 0.0 for _, y in zero_d_profile)
 
-    _, pos = sampled(geometry, 50.0, 51)
-    _, neg = sampled(geometry, -50.0, 51)
+    _, pos = sampled(cfg, 51)
+    _, neg = sampled(dataclasses.replace(cfg, voltage=-50.0), 51)
     ok &= all(y1 == -y2 for (_, y1), (_, y2) in zip(pos, neg))
     _report("6 trivial cases (V=0, d31=0, V negation)", ok)
 
@@ -103,7 +101,6 @@ def test_criterion_7_homogeneous_limit():
 
 
 def test_criterion_8_monotone_beam_length_trend():
-    base = sweep.reference_config()
-    tilts = [sweep.evaluate_point(dataclasses.replace(base, beam_length=L), L).tilt_deg
-             for L in (500e-6, 600e-6, 850e-6)]
+    l850, l600, l500 = sweep.table1()
+    tilts = [l500.tilt_deg, l600.tilt_deg, l850.tilt_deg]
     _report("8 monotone tilt vs beam length", tilts[0] < tilts[1] < tilts[2])

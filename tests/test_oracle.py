@@ -16,6 +16,8 @@ from piezoscanner.oracle import (
     solve_fd,
 )
 
+from conftest import half
+
 # Scanner A loading of the half-model (see test_scanner.py for provenance).
 A = 150e-6
 SPAN = 1000e-6
@@ -73,18 +75,18 @@ class TestSolveFd:
 
     @pytest.mark.parametrize("nodes, a", [(11, A), (2001, A), (20001, A), (2001, SPAN / 2)])
     def test_profile_error_matches_pointwise_closed_form(self, nodes, a):
-        """The vectorized closed form equals profile_half node by node to a few ulp."""
+        """The vectorized closed form equals the half profile node by node to a few ulp."""
         problem = BeamProblem(span=SPAN, a=a, force=FORCE, rigidity=RIGIDITY, nodes=nodes)
         solution = solve_fd(problem)
-        closed = np.array([scanner.profile_half(x, FORCE, solution.a_snapped, SPAN, RIGIDITY)
-                           for x in solution.grid])
+        a_s = solution.a_snapped
+        closed = np.array([half(x, FORCE, a_s, SPAN, RIGIDITY)[0] for x in solution.grid])
         scale = np.max(np.abs(closed))
         reference = np.max(np.abs(solution.deflection - closed)) / scale
         assert abs(profile_error(problem, solution) - reference) <= 16 * np.finfo(float).eps
 
     def test_tilt_matches_closed_form(self):
         solution = solve_fd(problem_a())
-        expected = abs(scanner.tilt(FORCE, solution.a_snapped, SPAN, RIGIDITY))
+        expected = abs(scanner.statics(FORCE, solution.a_snapped, SPAN, RIGIDITY)[1])
         assert solution.tilt() == pytest.approx(expected, rel=5e-3)
 
 
