@@ -12,7 +12,6 @@ import argparse
 import math
 import os
 import sys
-import tempfile
 
 from . import materials, scanner, sweep as sweep_mod
 from .config import ConfigError, parse_config
@@ -40,14 +39,12 @@ def _fmt(value: float) -> str:
 
 def _write_atomic(path: str, header: str, lines) -> None:
     """Write the header, then each newline-terminated line as it arrives, to a
-    temp file; rename it over path only once the last line is written. The
-    file gets the mode a plain open() would give it, 0o666 less the umask."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".csv")
-    umask = os.umask(0)
-    os.umask(umask)
+    new temp file beside path; rename it over path only once the last line is
+    written. The file gets the mode a plain open() would give it, 0o666 less
+    the umask, which the kernel applies."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}.csv")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w", newline="") as handle:
             handle.write(header + "\n")
             handle.writelines(lines)

@@ -12,7 +12,7 @@ thick, |d31| up to 500 pm/V, widths 5-200 um and lengths 100-2000 um.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class OutOfRangeError(ValueError):
@@ -23,27 +23,22 @@ class OutOfRangeError(ValueError):
         super().__init__(f"{stage}: {cause}; the design is outside double-precision range")
 
 
-@dataclass(frozen=True)
-class MultimorphStack:
+class MultimorphStack(namedtuple("MultimorphStack", ("substrate_E", "substrate_t", "piezo_E",
+                                                     "piezo_t", "d31", "width", "length"))):
     """Geometry and constants of the substrate + 2 piezo layer stack.
 
     Both piezoelectric layers share ``piezo_t`` and ``piezo_E``. All values
     are SI: Pa, m, m/V. No model path builds one: perfbench and
-    verification's 4x4 check bind it, and it runs :func:`check_stack` as the
-    model does.
+    verification's 4x4 check bind it, and every construction, ``_replace``
+    included, runs :func:`check_stack` as the model does.
     """
 
-    substrate_E: float
-    substrate_t: float
-    piezo_E: float
-    piezo_t: float
-    d31: float
-    width: float
-    length: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace builds through _make
 
-    def __post_init__(self) -> None:
-        check_stack(self.substrate_E, self.substrate_t, self.piezo_E, self.piezo_t, self.width,
-                    self.length)
+    def __new__(cls, substrate_E, substrate_t, piezo_E, piezo_t, d31, width, length):
+        check_stack(substrate_E, substrate_t, piezo_E, piezo_t, width, length)
+        return super().__new__(cls, substrate_E, substrate_t, piezo_E, piezo_t, d31, width, length)
 
 
 def check_stack(substrate_E: float, substrate_t: float, piezo_E: float, piezo_t: float,
@@ -63,8 +58,7 @@ def check_stack(substrate_E: float, substrate_t: float, piezo_E: float, piezo_t:
         raise ValueError("length must be > 0")
 
 
-@dataclass(frozen=True)
-class EquivalentSection:
+class EquivalentSection(namedtuple("EquivalentSection", ("h_eq", "i_eq", "e_ref", "rigidity"))):
     """Homogenized cross-section of the stack.
 
     h_eq is the neutral-axis height above the substrate bottom, i_eq the
@@ -74,10 +68,7 @@ class EquivalentSection:
     builds one; perfbench and verification's 4x4 check read it.
     """
 
-    h_eq: float
-    i_eq: float
-    e_ref: float
-    rigidity: float
+    __slots__ = ()
 
 
 _E_REF_CHOICES = ("substrate", "piezo", "max")

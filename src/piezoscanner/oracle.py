@@ -11,7 +11,7 @@ the bending-moment statics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -22,33 +22,26 @@ class OracleSingularError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class BeamProblem:
-    """Half-span propped beam with rigid segment [0, a] and clamp at L."""
+class BeamProblem(namedtuple("BeamProblem", ("span", "a", "force", "rigidity", "nodes"))):
+    """Half-span propped beam with rigid segment [0, a] and clamp at L; checked when built."""
 
-    span: float
-    a: float
-    force: float
-    rigidity: float
-    nodes: int = 2001
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace builds through _make
 
-    def __post_init__(self) -> None:
-        if self.nodes < 11 or self.nodes % 2 == 0:
+    def __new__(cls, span, a, force, rigidity, nodes=2001):
+        if nodes < 11 or nodes % 2 == 0:
             raise ValueError("nodes must be odd and >= 11")
-        if not 0 < self.a < self.span:
+        if not 0 < a < span:
             raise ValueError("need 0 < a < span")
-        if not self.rigidity > 0:
+        if not rigidity > 0:
             raise ValueError("rigidity must be > 0")
+        return super().__new__(cls, span, a, force, rigidity, nodes)
 
 
-@dataclass(frozen=True)
-class OracleSolution:
+class OracleSolution(namedtuple("OracleSolution", ("reaction", "grid", "deflection", "a_snapped"))):
     """Nodal deflections, grid, redundant reaction, and the snapped junction."""
 
-    reaction: float
-    grid: np.ndarray
-    deflection: np.ndarray
-    a_snapped: float
+    __slots__ = ()
 
     def rigid_segment_slope(self) -> float:
         """Slope of the mirror segment from its endpoint nodal values."""
@@ -150,10 +143,7 @@ def convergence_study(problem: BeamProblem, node_counts: list[int]) -> list[floa
     """Closed-form profile errors at each resolution, in the given order."""
     errors = []
     for n in node_counts:
-        p = BeamProblem(
-            span=problem.span, a=problem.a, force=problem.force,
-            rigidity=problem.rigidity, nodes=n,
-        )
+        p = problem._replace(nodes=n)
         errors.append(profile_error(p, solve_fd(p)))
     return errors
 

@@ -20,25 +20,25 @@ unless it underflows to 0, which :func:`statics` meets as a division by zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .multimorph import MultimorphStack, OutOfRangeError, check_stack, end_force, section
+from .multimorph import OutOfRangeError, check_stack, end_force, section
 
 
-@dataclass(frozen=True)
-class ScannerGeometry:
+class ScannerGeometry(namedtuple("ScannerGeometry", ("stack", "mirror_side"))):
     """Mirror plus multimorph half-device geometry.
 
     a is the support-to-junction distance (half the mirror side);
-    half_span = a + beam length. No model path builds one: perfbench and
-    the tests bind it, and it runs :func:`check_mirror` as the model does.
+    half_span = a + beam length. No model path builds one: perfbench and the
+    tests bind it, and every construction runs :func:`check_mirror` as the model does.
     """
 
-    stack: MultimorphStack
-    mirror_side: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace builds through _make
 
-    def __post_init__(self) -> None:
-        check_mirror(self.mirror_side, self.stack.length)
+    def __new__(cls, stack, mirror_side):
+        check_mirror(mirror_side, stack.length)
+        return super().__new__(cls, stack, mirror_side)
 
     @property
     def a(self) -> float:
@@ -89,10 +89,9 @@ def _cubic_coefficients(a: float, span: float) -> tuple[float, float, float, flo
             span**3 + 4 * a**2 * span + a * span**2, 2 * a**2 * span**2)
 
 
-def _slope_coefficients(a: float, span: float) -> tuple[float, float, float]:
-    """(qa, qb, qc) of the beam branch's slope bracket qa x^2 + qb x + qc."""
-    return (3 * (a + span), -2 * (2 * span**2 + 2 * a**2 + 2 * a * span),
-            span**3 + 4 * a**2 * span + a * span**2)
+def _slope_coefficients(cubic: tuple[float, float, float, float]) -> tuple[float, float, float]:
+    """(qa, qb, qc) of the slope bracket qa x^2 + qb x + qc, the cubic bracket's derivative."""
+    return 3 * cubic[0], 2 * cubic[1], cubic[2]
 
 
 def _beam(x, force_a, cubic, den):
@@ -112,14 +111,15 @@ def _max_deflection(force: float, a: float, span: float, den: float,
     """
     if force == 0:
         return 0.0, a
-    qa, qb, qc = _slope_coefficients(a, span)
+    cubic = _cubic_coefficients(a, span)
+    qa, qb, qc = _slope_coefficients(cubic)
     disc = qb * qb - 4 * qa * qc
     x_best, y_best = a, abs(mirror * a / den)
     if disc >= 0:
         sq = math.sqrt(disc)
         for root in ((-qb - sq) / (2 * qa), (-qb + sq) / (2 * qa)):
             if a < root < span * (1 - 1e-12):
-                y_root = abs(_beam(root, force * a, _cubic_coefficients(a, span), den))
+                y_root = abs(_beam(root, force * a, cubic, den))
                 if y_root > y_best:
                     x_best, y_best = root, y_root
     return y_best, x_best

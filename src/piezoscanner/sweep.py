@@ -4,26 +4,18 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, fields
 
 from . import materials
 from .multimorph import MultimorphStack
 from .scanner import ScannerGeometry, solve_scanner
 
 
-@dataclass(frozen=True)
-class ScanConfig:
+class ScanConfig(namedtuple("ScanConfig", ("substrate_E", "piezo_E", "d31", "substrate_t",
+                                           "piezo_t", "beam_width", "beam_length",
+                                           "mirror_side", "voltage"))):
     """One complete scanner design point: stack, mirror, and drive voltage."""
 
-    substrate_E: float
-    piezo_E: float
-    d31: float
-    substrate_t: float
-    piezo_t: float
-    beam_width: float
-    beam_length: float
-    mirror_side: float
-    voltage: float
+    __slots__ = ()
 
     def geometry(self) -> ScannerGeometry:
         """The design as the stack and mirror carriers. No model path calls this:
@@ -42,7 +34,7 @@ class ScanConfig:
     def solve(self) -> tuple[float, float, float, float, float, float, float, float]:
         """(force, rigidity, a, half_span, reaction, tilt_signed, y_max, x_at_ymax); see
         :func:`~piezoscanner.scanner.solve_scanner`."""
-        return solve_scanner(*(getattr(self, name) for name in _FIELDS))
+        return solve_scanner(*self)
 
 
 def reference_config() -> ScanConfig:
@@ -61,8 +53,6 @@ def reference_config() -> ScanConfig:
     )
 
 
-_FIELDS = tuple(field.name for field in fields(ScanConfig))
-
 # Sweepable axis name -> ScanConfig field.
 AXES = {
     "beam_length": "beam_length",
@@ -74,25 +64,24 @@ AXES = {
 }
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    base: ScanConfig
-    axis: str
-    start: float
-    stop: float
-    steps: int
+class SweepSpec(namedtuple("SweepSpec", ("base", "axis", "start", "stop", "steps"))):
+    """Sweep one axis of base over steps values from start to stop; checked when built."""
 
-    def __post_init__(self) -> None:
-        if self.axis not in AXES:
-            raise ValueError(f"unknown axis {self.axis!r}; one of {sorted(AXES)}")
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace builds through _make
+
+    def __new__(cls, base, axis, start, stop, steps):
+        if axis not in AXES:
+            raise ValueError(f"unknown axis {axis!r}; one of {sorted(AXES)}")
+        if not (math.isfinite(start) and math.isfinite(stop)):
             raise ValueError("start and stop must be finite")
-        if not self.start < self.stop:
+        if not start < stop:
             raise ValueError("need start < stop")
-        if not math.isfinite(self.stop - self.start):
+        if not math.isfinite(stop - start):
             raise ValueError("stop - start must be finite")
-        if self.steps < 2:
+        if steps < 2:
             raise ValueError("steps must be >= 2")
+        return super().__new__(cls, base, axis, start, stop, steps)
 
     def grid(self):
         """The parameter values in ascending order, start and stop included."""
@@ -118,8 +107,8 @@ def _points(base: ScanConfig, field: str, values):
 
     A failed point's status is the error text that :func:`solve_scanner` raises.
     """
-    design = [getattr(base, name) for name in _FIELDS]
-    index = _FIELDS.index(field)
+    design = list(base)
+    index = base._fields.index(field)
     for value in values:
         design[index] = value
         try:

@@ -18,7 +18,7 @@ by up to 4.3%, and equilibrating rows and columns does not remove the error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -30,22 +30,16 @@ class SingularSystemError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Strains:
+class Strains(namedtuple("Strains", ("s1", "s2"))):
     """Piezoelectric drive strains of the lower (s1) and upper (s2) layer."""
 
-    s1: float
-    s2: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CurvatureSolution:
+class CurvatureSolution(namedtuple("CurvatureSolution", ("p1", "p2", "p3", "kappa"))):
     """In-plane force resultants per unit width (N/m) and curvature (1/m)."""
 
-    p1: float
-    p2: float
-    p3: float
-    kappa: float
+    __slots__ = ()
 
 
 def piezo_strains(stack: MultimorphStack, voltage: float) -> Strains:
@@ -93,27 +87,6 @@ def tip_deflection(stack: MultimorphStack, voltage: float) -> float:
     return kappa * stack.length**2 / 2
 
 
-def _denominator_polynomial(stack: MultimorphStack) -> float:
-    """Shared quartic polynomial of the tip-deflection and inertia closed forms."""
-    es, ts = stack.substrate_E, stack.substrate_t
-    ep, tp = stack.piezo_E, stack.piezo_t
-    return (
-        8 * es * ts**3 * ep * tp
-        + 24 * es * ts**2 * ep * tp**2
-        + 32 * es * ts * ep * tp**3
-        + es**2 * ts**4
-        + 16 * ep**2 * tp**4
-    )
-
-
-def tip_deflection_closed_form(stack: MultimorphStack, voltage: float) -> float:
-    """Closed-form tip deflection, algebraically equal to `tip_deflection`."""
-    es, ts = stack.substrate_E, stack.substrate_t
-    ep, tp = stack.piezo_E, stack.piezo_t
-    num = 6 * stack.length**2 * ep * tp * stack.d31 * (es * ts + 2 * ep * tp)
-    return num * voltage / _denominator_polynomial(stack)
-
-
 def pipeline_force(stack: MultimorphStack, voltage: float) -> float:
     """End force from the 4x4 pipeline: 3 * rigidity / L^3 * y_tip."""
     rigidity = multimorph.equivalent_section(stack).rigidity
@@ -140,7 +113,7 @@ def branches(x: float, force: float, a: float, span: float,
     den = scanner._profile_denominator(a, span, rigidity)
     mirror = scanner._mirror_coefficient(force, a, span)
     cubic = scanner._cubic_coefficients(a, span)
-    qa, qb, qc = scanner._slope_coefficients(a, span)
+    qa, qb, qc = scanner._slope_coefficients(cubic)
     return (mirror * x / den, scanner._beam(x, force * a, cubic, den),
             mirror / den, force * a * (qa * x**2 + qb * x + qc) / den)
 

@@ -1,12 +1,18 @@
 from collections import namedtuple
 
 import pytest
+from hypothesis import Phase, settings
 from hypothesis import strategies as st
 
 from piezoscanner.multimorph import MultimorphStack
 from piezoscanner.scanner import profile_points
 from piezoscanner.sweep import ScanConfig
 from piezoscanner.verification import branches
+
+# Every phase but explain, which only annotates a failure that is already shrunk
+# and, formatting each failure it meets through pytest, can delay the report by minutes.
+settings.register_profile("no-explain", phases=[phase for phase in Phase if phase != Phase.explain])
+settings.load_profile("no-explain")
 
 # Reference design: silicon substrate with PZT-5H layers, 850 um beam.
 REFERENCE_STACK = MultimorphStack(

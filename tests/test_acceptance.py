@@ -1,7 +1,6 @@
 """Acceptance suite: one test per release criterion, with a pass/fail line
 printed for each (run with -s or check the captured output)."""
 
-import dataclasses
 import time
 
 import pytest
@@ -74,16 +73,16 @@ def test_criterion_5_oracle_agreement(suite):
 
 def test_criterion_6_trivial_cases():
     cfg = sweep.reference_config()
-    zero_v, zero_v_profile = sampled(dataclasses.replace(cfg, voltage=0.0), 51)
+    zero_v, zero_v_profile = sampled(cfg._replace(voltage=0.0), 51)
     ok = zero_v.force == 0.0 and zero_v.tilt_signed == 0.0
     ok &= all(y == 0.0 for _, y in zero_v_profile)
 
-    zero_d, zero_d_profile = sampled(dataclasses.replace(cfg, d31=0.0), 51)
+    zero_d, zero_d_profile = sampled(cfg._replace(d31=0.0), 51)
     ok &= zero_d.force == 0.0 and zero_d.tilt_signed == 0.0
     ok &= all(y == 0.0 for _, y in zero_d_profile)
 
     _, pos = sampled(cfg, 51)
-    _, neg = sampled(dataclasses.replace(cfg, voltage=-50.0), 51)
+    _, neg = sampled(cfg._replace(voltage=-50.0), 51)
     ok &= all(y1 == -y2 for (_, y1), (_, y2) in zip(pos, neg))
     _report("6 trivial cases (V=0, d31=0, V negation)", ok)
 

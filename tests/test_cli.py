@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import os
 import pathlib
@@ -24,8 +23,8 @@ def test_readme_config_is_scanner_a():
     """The README shows scannerA.cfg verbatim, so its commands run as written."""
     readme = (REPO / "README.md").read_text()
     assert readme.split("```ini\n", 1)[1].split("```", 1)[0] == SCANNER_A_CFG
-    parsed = dataclasses.astuple(parse_config(SCANNER_A_CFG))
-    assert parsed == pytest.approx(dataclasses.astuple(reference_config()), rel=1e-15)
+    parsed = tuple(parse_config(SCANNER_A_CFG))
+    assert parsed == pytest.approx(tuple(reference_config()), rel=1e-15)
 
 
 @pytest.fixture
@@ -434,8 +433,10 @@ class TestNonFiniteResults:
                 assert ",error: " in row
 
 
-def test_cli_import_loads_no_scipy(config_path, tmp_path):
-    """Neither scipy nor numpy loads for the import or any command but verify."""
+@pytest.mark.parametrize("flags", [(), ("-S",)], ids=["site", "no-site"])
+def test_cli_import_loads_no_scipy(config_path, tmp_path, flags):
+    """Neither scipy nor numpy loads for the import or any command but verify. Under -S,
+    with no site hook that may load them itself, neither do dataclasses, inspect or tempfile."""
     src = os.path.dirname(os.path.dirname(piezoscanner.__file__))
     probe = textwrap.dedent(
         """\
@@ -449,10 +450,13 @@ def test_cli_import_loads_no_scipy(config_path, tmp_path):
                       "--steps", "3"], ["table1"]):
             assert cli.run([*argv, "--out", out]) == 0, argv
             assert 'numpy' not in sys.modules, f'numpy imported by {argv[0]}'
+            if sys.flags.no_site:
+                for name in ('dataclasses', 'inspect', 'tempfile'):
+                    assert name not in sys.modules, f'{name} imported by {argv[0]}'
         """
     )
     result = subprocess.run(
-        [sys.executable, "-c", probe, config_path, str(tmp_path / "out.csv")],
+        [sys.executable, *flags, "-c", probe, config_path, str(tmp_path / "out.csv")],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True,
     )

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -11,7 +10,6 @@ from piezoscanner.verification import (
     piezo_strains,
     solve_curvature,
     tip_deflection,
-    tip_deflection_closed_form,
 )
 
 from conftest import drive_voltages, physical_stacks
@@ -32,7 +30,7 @@ class TestStrains:
         assert s.s1 == 0.0 and s.s2 == 0.0
 
     def test_zero_d31(self, reference_stack):
-        stack = dataclasses.replace(reference_stack, d31=0.0)
+        stack = reference_stack._replace(d31=0.0)
         s = piezo_strains(stack, 123.0)
         assert s.s1 == 0.0 and s.s2 == 0.0
 
@@ -53,7 +51,7 @@ class TestCurvature:
         assert (sol.p1, sol.p2, sol.p3, sol.kappa) == (0.0, 0.0, 0.0, 0.0)
 
     def test_zero_d31(self, reference_stack):
-        stack = dataclasses.replace(reference_stack, d31=0.0)
+        stack = reference_stack._replace(d31=0.0)
         sol = solve_curvature(stack, 50.0)
         assert sol.kappa == 0.0
 
@@ -114,12 +112,6 @@ class TestTipDeflection:
         y2 = tip_deflection(reference_stack, 50.0)
         assert y2 == pytest.approx(2 * y1, rel=1e-12)
 
-    @given(stack=physical_stacks(), voltage=drive_voltages())
-    def test_matches_closed_form(self, stack, voltage):
-        y = tip_deflection(stack, voltage)
-        y_cf = tip_deflection_closed_form(stack, voltage)
-        assert abs(y - y_cf) <= 1e-10 * max(abs(y_cf), 1e-300)
-
     @given(stack=physical_stacks(), voltage=st.floats(min_value=0.1, max_value=200))
     def test_voltage_negation(self, stack, voltage):
         assert tip_deflection(stack, -voltage) == pytest.approx(
@@ -142,7 +134,7 @@ class TestEquivalentSection:
 
     def test_thin_piezo_limit(self, reference_stack):
         # single-layer limit: rectangular-section formulas
-        stack = dataclasses.replace(reference_stack, piezo_t=1e-15)
+        stack = reference_stack._replace(piezo_t=1e-15)
         sec = equivalent_section(stack, "substrate")
         ts, w = stack.substrate_t, stack.width
         assert sec.h_eq == pytest.approx(ts / 2, rel=1e-6)
@@ -153,7 +145,7 @@ class TestEquivalentSection:
         homogeneous = w * ts**3 / 12
         previous = None
         for tp in (1e-6, 1e-7, 1e-8, 1e-9, 1e-10):
-            stack = dataclasses.replace(reference_stack, piezo_t=tp)
+            stack = reference_stack._replace(piezo_t=tp)
             i_eq = equivalent_section(stack, "substrate").i_eq
             assert i_eq > homogeneous
             if previous is not None:
@@ -161,7 +153,7 @@ class TestEquivalentSection:
             previous = i_eq
 
     def test_thin_substrate_limit(self, reference_stack):
-        stack = dataclasses.replace(reference_stack, substrate_t=1e-15)
+        stack = reference_stack._replace(substrate_t=1e-15)
         sec = equivalent_section(stack)
         assert sec.h_eq == pytest.approx(stack.piezo_t, rel=1e-6)
 
@@ -172,7 +164,7 @@ class TestEquivalentSection:
     def test_layers_summed_left_to_right(self, reference_stack):
         """The same last bit on every interpreter: sum() compensates its rounding
         since Python 3.12, and gives 0x1.c245dbe9fecb6p-38 there."""
-        stack = dataclasses.replace(reference_stack, substrate_t=1e-6)
+        stack = reference_stack._replace(substrate_t=1e-6)
         assert equivalent_section(stack).rigidity.hex() == "0x1.c245dbe9fecb7p-38"
 
     @given(stack=physical_stacks())
@@ -210,16 +202,18 @@ class TestEquivalentForce:
         voltage=st.floats(min_value=0.1, max_value=200),
     )
     def test_linearity_in_d31(self, stack, voltage):
-        doubled = dataclasses.replace(stack, d31=2 * stack.d31)
+        doubled = stack._replace(d31=2 * stack.d31)
         assert equivalent_force(doubled, voltage) == pytest.approx(
             2 * equivalent_force(stack, voltage), rel=1e-9
         )
 
 
 @pytest.mark.parametrize("substrate_t", [0.0, math.nan])
-def test_invalid_stack_rejected(substrate_t):
+def test_invalid_stack_rejected(substrate_t, reference_stack):
     with pytest.raises(ValueError):
         MultimorphStack(
             substrate_E=169e9, substrate_t=substrate_t, piezo_E=60e9, piezo_t=1e-6,
             d31=-274e-12, width=30e-6, length=850e-6,
         )
+    with pytest.raises(ValueError, match="^substrate_t must be > 0$"):
+        reference_stack._replace(substrate_t=substrate_t)

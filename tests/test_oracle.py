@@ -47,6 +47,10 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             BeamProblem(span=SPAN, a=A, force=FORCE, rigidity=rigidity)
 
+    def test_replace_is_checked(self):
+        with pytest.raises(ValueError, match="^nodes must be odd and >= 11$"):
+            problem_a()._replace(nodes=100)
+
 
 class TestSolveFd:
     def test_zero_force(self):

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+import re
 
 import pytest
 from hypothesis import given
@@ -194,12 +194,16 @@ class TestSolveScanner:
     @pytest.mark.parametrize("mirror_side", [0.0, math.nan, 5e-324])
     def test_invalid_mirror_side_rejected(self, mirror_side):
         # 5e-324 m is a valid length, but it halves to a = 0.
-        with pytest.raises(OutOfRangeError if mirror_side > 0 else ValueError):
+        error = OutOfRangeError if mirror_side > 0 else ValueError
+        with pytest.raises(error) as built:
             ScannerGeometry(stack=REFERENCE_STACK, mirror_side=mirror_side)
+        geometry = ScannerGeometry(stack=REFERENCE_STACK, mirror_side=300e-6)
+        with pytest.raises(error, match=re.escape(str(built.value))):
+            geometry._replace(mirror_side=mirror_side)
 
     @pytest.mark.parametrize("samples", [401, 3201])
     def test_center_exact_where_grid_rounds_past_span(self, samples):
-        short_beam = replace(REFERENCE_STACK, length=169e-6)
+        short_beam = REFERENCE_STACK._replace(length=169e-6)
         sol, profile = sampled(design(short_beam, 300e-6, 50.0), samples)
         span, last = sol.half_span, samples - 1
         assert 2 * span * (last // 2) / last > span  # the uniform grid overshoots the center

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -44,6 +43,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SweepSpec(base=reference_config(), axis="voltage", start=0, stop=50, steps=1)
 
+    def test_replace_is_checked(self):
+        with pytest.raises(ValueError, match="^steps must be >= 2$"):
+            beam_length_spec()._replace(steps=1)
+
 
 class TestRunSweep:
     def test_ascending_order_inclusive_endpoints(self):
@@ -70,7 +73,7 @@ class TestRunSweep:
 
     def test_failed_points_reported_inline(self):
         # large mirrors make the support-junction distance swallow the span
-        base = dataclasses.replace(reference_config(), beam_length=100e-6)
+        base = reference_config()._replace(beam_length=100e-6)
         spec = SweepSpec(base=base, axis="substrate_thickness", start=-1e-6, stop=1e-6, steps=3)
         records = run_sweep(spec)
         assert len(records) == 3
@@ -99,8 +102,8 @@ def sweep_bases(draw):
         voltage=draw(drive_voltages()),
     )
     if draw(st.booleans()):
-        field = draw(st.sampled_from([f.name for f in dataclasses.fields(ScanConfig)]))
-        config = dataclasses.replace(config, **{field: draw(EXTREMES)})
+        field = draw(st.sampled_from(list(ScanConfig._fields)))
+        config = config._replace(**{field: draw(EXTREMES)})
     return config
 
 
@@ -112,7 +115,7 @@ def test_sweep_point_is_model_path(base, axis, ends):
     start, stop = sorted(ends)
     assume(math.isfinite(stop - start))
     for rec in run_sweep(SweepSpec(base=base, axis=axis, start=start, stop=stop, steps=3)):
-        design = dataclasses.replace(base, **{AXES[axis]: rec.param_value})
+        design = base._replace(**{AXES[axis]: rec.param_value})
         try:
             geometry = design.geometry()
             force = equivalent_force(geometry.stack, design.voltage)
@@ -142,7 +145,7 @@ class TestOptimize:
         assert best_x == pytest.approx(50.0, rel=1e-4)
 
     def test_flat_objective_ties_to_smallest(self):
-        base = dataclasses.replace(reference_config(), d31=0.0)
+        base = reference_config()._replace(d31=0.0)
         spec = SweepSpec(base=base, axis="beam_length", start=500e-6, stop=850e-6, steps=5)
         best_x, best_f = optimize_1d(spec, objective="tilt")
         assert best_x == 500e-6
