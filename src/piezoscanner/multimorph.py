@@ -28,9 +28,9 @@ class MultimorphStack(namedtuple("MultimorphStack", ("substrate_E", "substrate_t
     """Geometry and constants of the substrate + 2 piezo layer stack.
 
     Both piezoelectric layers share ``piezo_t`` and ``piezo_E``. All values
-    are SI: Pa, m, m/V. No model path builds one: perfbench and
-    verification's 4x4 check bind it, and every construction, ``_replace``
-    included, runs :func:`check_stack` as the model does.
+    are SI: Pa, m, m/V. No model path builds one: perfbench and the tests
+    bind it, and every construction, ``_replace`` included, runs
+    :func:`check_stack` as the model does.
     """
 
     __slots__ = ()
@@ -65,7 +65,7 @@ class EquivalentSection(namedtuple("EquivalentSection", ("h_eq", "i_eq", "e_ref"
     transformed-section moment of inertia for the normalizing modulus
     e_ref, and rigidity the flexural rigidity e_ref * i_eq. The rigidity is
     independent of which layer modulus normalizes the widths. No model path
-    builds one; perfbench and verification's 4x4 check read it.
+    builds one; perfbench and the tests read it.
     """
 
     __slots__ = ()
@@ -113,7 +113,7 @@ def section(substrate_E: float, substrate_t: float, piezo_E: float, piezo_t: flo
 def equivalent_section(stack: MultimorphStack, e_ref_choice: str = "max") -> EquivalentSection:
     """Homogenize the stack by normalizing layer widths with e_ref (:func:`section`).
 
-    No model path calls this; perfbench and verification's 4x4 check do.
+    No model path calls this; perfbench and the tests do.
     """
     return EquivalentSection(*section(stack.substrate_E, stack.substrate_t, stack.piezo_E,
                                       stack.piezo_t, stack.width, e_ref_choice))
@@ -132,6 +132,6 @@ def equivalent_force(stack: MultimorphStack, voltage: float) -> float:
     Signed: follows the sign of d31 * V. Float products never raise: an
     overflow gives +-inf, which `scanner.statics` rejects as non-finite. No
     model path calls this (the model calls :func:`end_force`); perfbench and
-    verification's 4x4 check do.
+    the tests do.
     """
     return end_force(stack.width, stack.piezo_t, stack.piezo_E, stack.d31, voltage, stack.length)

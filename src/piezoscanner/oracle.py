@@ -129,10 +129,8 @@ def profile_error(problem: BeamProblem, solution: OracleSolution) -> float:
     solve the identical problem.
     """
     x, a, span, force = solution.grid, solution.a_snapped, problem.span, problem.force
-    den = scanner._profile_denominator(a, span, problem.rigidity)
-    mirror = scanner._mirror_coefficient(force, a, span)
-    closed = np.where(x <= a, mirror * x / den,
-                      scanner._beam(x, force * a, scanner._cubic_coefficients(a, span), den))
+    slope = scanner._slope(force, a, span, problem.rigidity)
+    closed = np.where(x <= a, slope * x, scanner._beam(x, slope, a, span))
     scale = np.max(np.abs(closed))
     if scale == 0:
         return float(np.max(np.abs(solution.deflection)))

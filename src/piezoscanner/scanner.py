@@ -64,79 +64,54 @@ def check_mirror(mirror_side: float, length: float) -> tuple[float, float]:
 
 
 def reaction(force: float, a: float, span: float) -> float:
-    """Redundant reaction at the mirror-center support."""
-    return -force * (a**3 - 3 * a * span**2 + 2 * span**3) / (2 * span**3 - 2 * a**3)
+    """Redundant reaction at the mirror-center support, -force times a ratio in (0, 1]."""
+    return -force * ((span - a) * (2 * span + a) / (2 * (a**2 + a * span + span**2)))
 
 
-# The profile is y = mirror * x / den on the mirror segment and
-# y = force * a * (c3 x^3 + x^2 c2 + x c1 - c0) / den on the beam. A design's
-# den, mirror and cubic coefficients are computed once and each branch is
-# evaluated from them, left to right.
+# With L = span - a, the mirror segment is y = slope * x and the beam branch
+# is the cubic force a (x - span)^2 ((a + span) x - 2 a^2) / den, double-rooted
+# at the clamp, den = 4 rigidity (a^2 + a span + span^2). In the mirror's
+# slope = force a L^3 / den that branch is slope u^2 (2 a v + x), with
+# u = (x - span) / L in [-1, 0] and v = (x - a) / L in [0, 1]: its last factor
+# sums terms >= 0, so no digits cancel however short the beam is, and each
+# partial product stays at the result's scale, so none overflows before the
+# result does, for huge forces and for huge spans alike. The branch meets the
+# mirror exactly at x = a, where u = -1 and v = 0. Its peak is x* (see statics).
 
 
-def _profile_denominator(a: float, span: float, rigidity: float) -> float:
-    return 4 * rigidity * (a**2 + span * a + span**2)
+def _slope(force: float, a: float, span: float, rigidity: float) -> float:
+    """The mirror segment's slope, force a L^3 / den."""
+    return force * a * (span - a) ** 3 / (4 * rigidity * (a**2 + span * a + span**2))
 
 
-def _mirror_coefficient(force: float, a: float, span: float) -> float:
-    """The rigid segment's slope times the profile denominator."""
-    return -force * a * (a - span) ** 3
-
-
-def _cubic_coefficients(a: float, span: float) -> tuple[float, float, float, float]:
-    """(c3, c2, c1, c0) of the beam branch's bracket c3 x^3 + x^2 c2 + x c1 - c0."""
-    return (a + span, -2 * span**2 - 2 * a**2 - 2 * a * span,
-            span**3 + 4 * a**2 * span + a * span**2, 2 * a**2 * span**2)
-
-
-def _slope_coefficients(cubic: tuple[float, float, float, float]) -> tuple[float, float, float]:
-    """(qa, qb, qc) of the slope bracket qa x^2 + qb x + qc, the cubic bracket's derivative."""
-    return 3 * cubic[0], 2 * cubic[1], cubic[2]
-
-
-def _beam(x, force_a, cubic, den):
-    """The beam branch at x (a float or an array) from force * a, the cubic and den."""
-    c3, c2, c1, c0 = cubic
-    return force_a * (c3 * x**3 + x**2 * c2 + x * c1 - c0) / den
-
-
-def _max_deflection(force: float, a: float, span: float, den: float,
-                    mirror: float) -> tuple[float, float]:
-    """Largest |deflection| on the flexible segment and its location, from the
-    design's profile denominator and mirror coefficient.
-
-    The stationary points of the cubic branch are the roots of its slope
-    bracket (:func:`_slope_coefficients`): the clamp x = L and one point
-    strictly inside (a, L). The junction value |y(a)| is compared as well.
-    """
-    if force == 0:
-        return 0.0, a
-    cubic = _cubic_coefficients(a, span)
-    qa, qb, qc = _slope_coefficients(cubic)
-    disc = qb * qb - 4 * qa * qc
-    x_best, y_best = a, abs(mirror * a / den)
-    if disc >= 0:
-        sq = math.sqrt(disc)
-        for root in ((-qb - sq) / (2 * qa), (-qb + sq) / (2 * qa)):
-            if a < root < span * (1 - 1e-12):
-                y_root = abs(_beam(root, force * a, cubic, den))
-                if y_root > y_best:
-                    x_best, y_best = root, y_root
-    return y_best, x_best
+def _beam(x, slope, a, span):
+    """The beam branch at x (a float or an array) of a design with this mirror slope."""
+    length = span - a
+    u = (x - span) / length
+    return slope * u * u * (2 * a * (x - a) / length + x)
 
 
 def statics(force: float, a: float, span: float, rigidity: float) -> tuple[float, float, float, float]:
     """(reaction, tilt_signed, y_max, x_at_ymax) of a checked design.
+
+    The beam branch's derivative, slope u (3 (a + span) v / L - 1), vanishes
+    at the clamp (u = 0) and at x* = (span^2 + a span + 4 a^2) / (3 (a + span))
+    = a + L^2 / (3 (a + span)), which lies strictly inside (a, span) because
+    0 < L < 3 (a + span). There
+    |y| = |slope| (4/27) (span + 2a) ((span + 2a) / (a + span))^2, more than
+    the junction's |slope| a, the largest |y| on the mirror, so y_max is
+    |y(x*)|. At zero force the profile is flat and (y_max, x_at_ymax) is (0.0, a).
 
     Raises OutOfRangeError where a stage overflows or divides by zero, and
     ValueError where the force, the rigidity or a result is not finite.
     """
     try:
         r_a = reaction(force, a, span)
-        den = _profile_denominator(a, span, rigidity)
-        mirror = _mirror_coefficient(force, a, span)
-        tilt_signed = math.atan(mirror / den)
-        y_max, x_at = _max_deflection(force, a, span, den, mirror)
+        slope = _slope(force, a, span, rigidity)
+        tilt_signed = math.atan(slope)
+        ratio = (span + 2 * a) / (a + span)
+        y_max = abs(slope) * (4 / 27 * (span + 2 * a) * ratio * ratio)
+        x_at = (span**2 + a * span + 4 * a**2) / (3 * (a + span)) if force else a
     except ArithmeticError as exc:
         raise OutOfRangeError("half-beam statics", exc) from exc
     # Finite inputs can still overflow; no non-finite result may leave the model.
@@ -178,13 +153,10 @@ def profile_points(samples: int, force: float, a: float, span: float, rigidity: 
     if samples % 2 == 0:
         samples += 1
 
-    den = _profile_denominator(a, span, rigidity)
-    mirror = _mirror_coefficient(force, a, span)
-    force_a = force * a
-    cubic = _cubic_coefficients(a, span)
+    slope = _slope(force, a, span, rigidity)
 
     def half(x: float) -> float:
-        return mirror * x / den if x <= a else _beam(x, force_a, cubic, den)
+        return slope * x if x <= a else _beam(x, slope, a, span)
 
     # The right half mirrors the grid of the left around the center, so the
     # antisymmetry of the two half-profiles is exact in floating point. The

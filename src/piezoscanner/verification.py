@@ -3,8 +3,8 @@
 The layer force resultants and curvature solve a 4x4 system (in-plane and
 moment equilibrium, two interface continuity conditions). Its tip
 deflection gives the pipeline force 3 EI / L^3 * y_tip, which must equal
-:func:`multimorph.equivalent_force` to round-off. The profile checks read
-both half-profile branches from scanner's coefficients (:func:`branches`).
+:func:`multimorph.end_force` to round-off. The profile checks read
+both half-profile branches as scanner evaluates them (:func:`branches`).
 No model path calls this module; the CLI loads it, and numpy with it, only
 for `verify`.
 
@@ -18,46 +18,35 @@ by up to 4.3%, and equilibrating rows and columns does not remove the error.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 
 import numpy as np
 
 from . import multimorph, oracle, scanner, sweep
-from .multimorph import MultimorphStack
 
 
 class SingularSystemError(ValueError):
     pass
 
 
-class Strains(namedtuple("Strains", ("s1", "s2"))):
-    """Piezoelectric drive strains of the lower (s1) and upper (s2) layer."""
-
-    __slots__ = ()
+# A stack is a MultimorphStack or its seven field values in that order:
+# (substrate_E, substrate_t, piezo_E, piezo_t, d31, width, length).
 
 
-class CurvatureSolution(namedtuple("CurvatureSolution", ("p1", "p2", "p3", "kappa"))):
-    """In-plane force resultants per unit width (N/m) and curvature (1/m)."""
-
-    __slots__ = ()
-
-
-def piezo_strains(stack: MultimorphStack, voltage: float) -> Strains:
-    """Drive strains for opposite-polarity actuation of the two layers."""
-    s = stack.d31 * voltage / stack.piezo_t
-    return Strains(s1=-s, s2=+s)
+def piezo_strains(stack, voltage: float) -> tuple[float, float]:
+    """(s1, s2), the drive strains of the lower and upper layer for opposite-polarity actuation."""
+    s = stack[4] * voltage / stack[3]  # d31 V / piezo_t
+    return -s, +s
 
 
-def _assemble_system(stack: MultimorphStack, voltage: float):
+def _assemble_system(stack, voltage: float):
     """Build the 4x4 system in the unknowns (p1, p2, p3, kappa).
 
     Rows: in-plane equilibrium, moment equilibrium about the substrate
     bottom, substrate/lower-piezo interface continuity, piezo/piezo
     interface continuity.
     """
-    es, ts = stack.substrate_E, stack.substrate_t
-    ep, tp = stack.piezo_E, stack.piezo_t
-    strains = piezo_strains(stack, voltage)
+    es, ts, ep, tp = stack[:4]
+    s1, s2 = piezo_strains(stack, voltage)
 
     a = np.array(
         [
@@ -67,55 +56,48 @@ def _assemble_system(stack: MultimorphStack, voltage: float):
             [0.0, 1 / (ep * tp), -1 / (ep * tp), tp],
         ]
     )
-    b = np.array([0.0, 0.0, strains.s1, strains.s2 - strains.s1])
+    b = np.array([0.0, 0.0, s1, s2 - s1])
     return a, b
 
 
-def solve_curvature(stack: MultimorphStack, voltage: float) -> CurvatureSolution:
-    """Solve for the layer force resultants and the beam curvature."""
+def solve_curvature(stack, voltage: float) -> tuple[float, float, float, float]:
+    """(p1, p2, p3, kappa): the layer force resultants per unit width (N/m) and the
+    beam curvature (1/m)."""
     a, b = _assemble_system(stack, voltage)
     try:
-        p1, p2, p3, kappa = np.linalg.solve(a, b)
+        solution = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"degenerate stack: {exc}") from exc
-    return CurvatureSolution(p1=float(p1), p2=float(p2), p3=float(p3), kappa=float(kappa))
+    return tuple(map(float, solution))
 
 
-def tip_deflection(stack: MultimorphStack, voltage: float) -> float:
+def tip_deflection(stack, voltage: float) -> float:
     """Free tip deflection of the cantilevered stack: kappa * L^2 / 2."""
-    kappa = solve_curvature(stack, voltage).kappa
-    return kappa * stack.length**2 / 2
+    return solve_curvature(stack, voltage)[3] * stack[6] ** 2 / 2
 
 
-def pipeline_force(stack: MultimorphStack, voltage: float) -> float:
+def pipeline_force(stack, voltage: float) -> float:
     """End force from the 4x4 pipeline: 3 * rigidity / L^3 * y_tip."""
-    rigidity = multimorph.equivalent_section(stack).rigidity
-    return 3 * rigidity / stack.length**3 * tip_deflection(stack, voltage)
+    es, ts, ep, tp, _, width, length = stack
+    rigidity = multimorph.section(es, ts, ep, tp, width)[3]
+    return 3 * rigidity / length**3 * tip_deflection(stack, voltage)
 
 
-def random_stack(rng: np.random.Generator) -> MultimorphStack:
-    """A stack drawn uniformly from inside the physical domain above."""
-    return MultimorphStack(
-        substrate_E=rng.uniform(10e9, 500e9),
-        substrate_t=rng.uniform(0.2e-6, 20e-6),
-        piezo_E=rng.uniform(10e9, 500e9),
-        piezo_t=rng.uniform(0.2e-6, 20e-6),
-        d31=-rng.uniform(10e-12, 500e-12),
-        width=rng.uniform(5e-6, 200e-6),
-        length=rng.uniform(100e-6, 2000e-6),
-    )
+def random_stack(rng: np.random.Generator) -> tuple[float, ...]:
+    """A stack's seven field values drawn uniformly from inside the physical domain above."""
+    return (rng.uniform(10e9, 500e9), rng.uniform(0.2e-6, 20e-6), rng.uniform(10e9, 500e9),
+            rng.uniform(0.2e-6, 20e-6), -rng.uniform(10e-12, 500e-12),
+            rng.uniform(5e-6, 200e-6), rng.uniform(100e-6, 2000e-6))
 
 
 def branches(x: float, force: float, a: float, span: float,
              rigidity: float) -> tuple[float, float, float, float]:
     """(mirror y, beam y, mirror y', beam y') of the half profile at x, both branches
-    evaluated from scanner's per-design coefficients as the model evaluates them."""
-    den = scanner._profile_denominator(a, span, rigidity)
-    mirror = scanner._mirror_coefficient(force, a, span)
-    cubic = scanner._cubic_coefficients(a, span)
-    qa, qb, qc = scanner._slope_coefficients(cubic)
-    return (mirror * x / den, scanner._beam(x, force * a, cubic, den),
-            mirror / den, force * a * (qa * x**2 + qb * x + qc) / den)
+    evaluated from the mirror slope as the model evaluates them."""
+    slope = scanner._slope(force, a, span, rigidity)
+    length = span - a
+    return (slope * x, scanner._beam(x, slope, a, span), slope,
+            slope * (x - span) / length * (3 * (a + span) * (x - a) / length**2 - 1))
 
 
 def checks(nodes: int):
@@ -144,11 +126,12 @@ def checks(nodes: int):
     worst_norm = 0.0
     for _ in range(1000):
         stack = random_stack(rng)
+        es, ts, ep, tp, d31, width, length = stack
         voltage = rng.uniform(1.0, 100.0) * rng.choice([-1.0, 1.0])
         f_pipeline = pipeline_force(stack, voltage)
-        f_closed = multimorph.equivalent_force(stack, voltage)
+        f_closed = multimorph.end_force(width, tp, ep, d31, voltage, length)
         worst_identity = max(worst_identity, abs(f_pipeline - f_closed) / abs(f_closed))
-        rigs = [multimorph.equivalent_section(stack, choice).rigidity
+        rigs = [multimorph.section(es, ts, ep, tp, width, choice)[3]
                 for choice in ("substrate", "piezo", "max")]
         worst_norm = max(worst_norm, (max(rigs) - min(rigs)) / max(rigs))
     yield "closed_form_identity", worst_identity, 1e-10
@@ -156,12 +139,12 @@ def checks(nodes: int):
 
     worst_profile = 0.0
     for _ in range(100):
-        stack = random_stack(rng)
+        es, ts, ep, tp, d31, width, length = random_stack(rng)
         voltage = rng.uniform(1.0, 100.0) * rng.choice([-1.0, 1.0])
-        f = multimorph.equivalent_force(stack, voltage)
-        rig = multimorph.equivalent_section(stack).rigidity
+        f = multimorph.end_force(width, tp, ep, d31, voltage, length)
+        rig = multimorph.section(es, ts, ep, tp, width)[3]
         aa = rng.uniform(10e-6, 500e-6)
-        sp = aa + stack.length
+        sp = aa + length
         _, tilt_signed, y_max, _ = scanner.statics(f, aa, sp, rig)
         y0, _, dy0, _ = branches(0.0, f, aa, sp, rig)
         _, y_end, _, dy_end = branches(sp, f, aa, sp, rig)

@@ -157,6 +157,26 @@ class TestModelCommand:
         assert capsys.readouterr().err.startswith("config: unknown material")
 
 
+@pytest.mark.parametrize("length_um, summary", [
+    ("1e76", "y_max_um=2.23229547e+73 x_at_ymax_um=3.33333333e+75"),
+    ("1e83", "y_max_um=2.23229547e+80 x_at_ymax_um=3.33333333e+82"),
+], ids=["1e76", "1e83"])
+def test_long_beam_peak(tmp_path, capsys, length_um, summary):
+    """Beams 1e70 and 1e77 m long peak at the interior stationary point, about a third
+    of the half span, and the profile samples stay finite and within y_max."""
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(SCANNER_A_CFG.replace("beam_length_um = 850", f"beam_length_um = {length_um}"))
+    model_csv = tmp_path / "m.csv"
+    assert run(["model", "--config", str(cfg), "--out", str(model_csv)]) == 0
+    assert summary in capsys.readouterr().out
+    y_max = float(model_csv.read_text().splitlines()[1].split(",")[1])
+    for samples in ("3", "5", "401"):
+        out = tmp_path / f"p{samples}.csv"
+        assert run(["profile", "--config", str(cfg), "--samples", samples, "--out", str(out)]) == 0
+        assert all(abs(float(line.split(",")[1])) <= y_max
+                   for line in out.read_text().splitlines()[1:])
+
+
 class TestProfileCommand:
     def test_five_sample_profile(self, tmp_path):
         for voltage in ("50", "-50"):
@@ -248,7 +268,7 @@ SWEEP_PINS = {
     ("voltage", "-200", "200"):
         (0, "5450223857ef2a81d21c19e2b863eeca511ab40330a0648388015a8b600e415c"),
     ("beam_length", "-1e-3", "1e-3"):
-        (2, "4afce29133edbaa5add7fde1f5370760144b22439621a5f79fa0fa962af113f0"),
+        (2, "18111fe201eecece70cda3715c86dfac030b9c71b7ca9837f8a31063007e4478"),
     ("mirror_side", "1e-330", "1e-323"):
         (2, "c941c10144347168c64ad5ac5541bd4bf32b4abbb0e79e6efcbcb41428d73996"),
     ("piezo_thickness", "1e100", "1e300"):
@@ -386,7 +406,7 @@ class TestNonFiniteResults:
             ({"mirror_side_um = 300": "mirror_side_um = 1e300"}, ["model"],
              "mirror side of 1e+294 m; the design is outside double-precision range"),
             ({"mirror_side_um = 300": "mirror_side_um = 2e109",
-              "beam_length_um = 850": "beam_length_um = 1e95"}, ["model"], "half-beam statics: (34"),
+              "beam_length_um = 850": "beam_length_um = 1e109"}, ["model"], "half-beam statics: (34"),
             ({}, ["sweep", "--axis", "piezo_thickness", "--from=1e-6", "--to=1e300", "--steps", "3"],
              "equivalent section: (34"),
             ({}, ["sweep", "--axis", "mirror_side", "--from=1e-330", "--to=1e-323", "--steps", "3"],

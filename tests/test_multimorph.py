@@ -27,38 +27,38 @@ REF_FORCE = -4.395282352941177e-05
 class TestStrains:
     def test_zero_voltage(self, reference_stack):
         s = piezo_strains(reference_stack, 0.0)
-        assert s.s1 == 0.0 and s.s2 == 0.0
+        assert s[0] == 0.0 and s[1] == 0.0
 
     def test_zero_d31(self, reference_stack):
         stack = reference_stack._replace(d31=0.0)
         s = piezo_strains(stack, 123.0)
-        assert s.s1 == 0.0 and s.s2 == 0.0
+        assert s[0] == 0.0 and s[1] == 0.0
 
     def test_reference_drive(self, reference_stack):
         s = piezo_strains(reference_stack, 50.0)
-        assert s.s1 == pytest.approx(1.37e-2, rel=1e-12)
-        assert s.s2 == pytest.approx(-1.37e-2, rel=1e-12)
+        assert s[0] == pytest.approx(1.37e-2, rel=1e-12)
+        assert s[1] == pytest.approx(-1.37e-2, rel=1e-12)
 
     @given(stack=physical_stacks(), voltage=drive_voltages())
     def test_opposite_polarity(self, stack, voltage):
         s = piezo_strains(stack, voltage)
-        assert s.s1 == -s.s2
+        assert s[0] == -s[1]
 
 
 class TestCurvature:
     def test_zero_voltage(self, reference_stack):
         sol = solve_curvature(reference_stack, 0.0)
-        assert (sol.p1, sol.p2, sol.p3, sol.kappa) == (0.0, 0.0, 0.0, 0.0)
+        assert sol == (0.0, 0.0, 0.0, 0.0)
 
     def test_zero_d31(self, reference_stack):
         stack = reference_stack._replace(d31=0.0)
         sol = solve_curvature(stack, 50.0)
-        assert sol.kappa == 0.0
+        assert sol[3] == 0.0
 
     def test_reference_curvature(self, reference_stack):
         sol = solve_curvature(reference_stack, 50.0)
-        assert sol.kappa == pytest.approx(REF_KAPPA, rel=1e-9)
-        assert abs(sol.kappa) == pytest.approx(2.7e2, rel=0.01)
+        assert sol[3] == pytest.approx(REF_KAPPA, rel=1e-9)
+        assert abs(sol[3]) == pytest.approx(2.7e2, rel=0.01)
 
     @given(stack=physical_stacks(), voltage=drive_voltages())
     def test_equilibrium_and_residuals(self, stack, voltage):
@@ -67,32 +67,32 @@ class TestCurvature:
         ep, tp = stack.piezo_E, stack.piezo_t
         s = piezo_strains(stack, voltage)
 
-        scale = max(abs(sol.p1), abs(sol.p2), abs(sol.p3), 1e-300)
-        assert abs(sol.p1 + sol.p2 + sol.p3) <= 1e-10 * scale
+        scale = max(abs(sol[0]), abs(sol[1]), abs(sol[2]), 1e-300)
+        assert abs(sol[0] + sol[1] + sol[2]) <= 1e-10 * scale
 
         moment_terms = [
-            ts / 2 * sol.p1,
-            (ts + tp / 2) * sol.p2,
-            (ts + 1.5 * tp) * sol.p3,
-            (es * ts**3 + 2 * ep * tp**3) / 12 * sol.kappa,
+            ts / 2 * sol[0],
+            (ts + tp / 2) * sol[1],
+            (ts + 1.5 * tp) * sol[2],
+            (es * ts**3 + 2 * ep * tp**3) / 12 * sol[3],
         ]
         m_scale = max(abs(t) for t in moment_terms) or 1e-300
         assert abs(sum(moment_terms)) <= 1e-10 * m_scale
 
         iface1 = [
-            sol.p1 / (es * ts),
-            -sol.p2 / (ep * tp),
-            (ts + tp) / 2 * sol.kappa,
-            -s.s1,
+            sol[0] / (es * ts),
+            -sol[1] / (ep * tp),
+            (ts + tp) / 2 * sol[3],
+            -s[0],
         ]
         i1_scale = max(abs(t) for t in iface1) or 1e-300
         assert abs(sum(iface1)) <= 1e-10 * i1_scale
 
         iface2 = [
-            sol.p2 / (ep * tp),
-            -sol.p3 / (ep * tp),
-            tp * sol.kappa,
-            -(s.s2 - s.s1),
+            sol[1] / (ep * tp),
+            -sol[2] / (ep * tp),
+            tp * sol[3],
+            -(s[1] - s[0]),
         ]
         i2_scale = max(abs(t) for t in iface2) or 1e-300
         assert abs(sum(iface2)) <= 1e-10 * i2_scale

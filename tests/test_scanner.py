@@ -1,15 +1,18 @@
 import math
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from piezoscanner.multimorph import OutOfRangeError
-from piezoscanner.scanner import ScannerGeometry, reaction, statics
+from piezoscanner.scanner import ScannerGeometry, profile_points, reaction, statics
 from piezoscanner.verification import branches
 
-from conftest import REFERENCE_STACK, design, drive_voltages, half, physical_stacks, sampled
+from conftest import (
+    REFERENCE_STACK, Solution, design, drive_voltages, half, physical_stacks, sampled,
+)
 
 # Scanner A: reference stack, 300 um mirror, 50 V. Frozen values computed by
 # evaluating the reaction/tilt/extremum formulas independently (quadratic
@@ -224,3 +227,55 @@ class TestSolveScanner:
         assert math.copysign(1.0, sol.force) == sign and sol.force != 0.0
         assert math.copysign(1.0, sol.tilt_signed) == sign and sol.tilt_signed != 0.0
         assert math.copysign(1.0, sol.reaction) == -sign and sol.reaction != 0.0
+
+
+def exact_half_beam(force, a, span, rigidity):
+    """(reaction, slope, y_max, x*, y(x)) of the half beam in exact rational arithmetic,
+    from the expanded cubic c3 x^3 + c2 x^2 + c1 x - c0 of the beam branch, not the
+    factored form the model evaluates."""
+    f, a, span, rigidity = map(Fraction, (force, a, span, rigidity))
+    den = 4 * rigidity * (a**2 + span * a + span**2)
+    c3, c2 = a + span, -2 * span**2 - 2 * a**2 - 2 * a * span
+    c1, c0 = span**3 + 4 * a**2 * span + a * span**2, 2 * a**2 * span**2
+    slope = -f * a * (a - span) ** 3 / den
+
+    def y(x):
+        x = Fraction(x)
+        return slope * x if x <= a else f * a * (c3 * x**3 + c2 * x**2 + c1 * x - c0) / den
+
+    x_star = (span**2 + a * span + 4 * a**2) / (3 * (a + span))
+    # x* is the one stationary point of the cubic inside (a, span), and y peaks there.
+    assert 3 * c3 * x_star**2 + 2 * c2 * x_star + c1 == 0 and a < x_star < span
+    assert abs(y(x_star)) > abs(y(a))
+    r_a = -f * (a**3 - 3 * a * span**2 + 2 * span**3) / (2 * span**3 - 2 * a**3)
+    return r_a, slope, abs(y(x_star)), x_star, y
+
+
+def relative_error(value, exact):
+    return abs(Fraction(value) - exact) / abs(exact)
+
+
+# Scanner A with its 150 um half-mirror over a/L = 1e-1 .. 1e9, with beams of 1e-9 to
+# 1e102 m, at 1e308 V, where y_max is 4.6e300 m, and a 1e103 m half-mirror on a
+# 1e89 m beam (a/L = 1e14), whose a^3 and span^3 overflow though no result does:
+# (mirror_side, beam_length) in m and the voltage.
+EXACT_DESIGNS = ([(300e-6, 150e-6 / ratio, 50.0) for ratio in (1e-1, 1, 10, 1e3, 1e5, 1e7, 1e9)]
+                 + [(300e-6, length, 50.0) for length in (1e-9, 1e-6, 1, 1e10, 1e50, 1e77, 1e102)]
+                 + [(300e-6, 850e-6, 1e308), (2e103, 1e89, 50.0)])
+
+
+@pytest.mark.parametrize("mirror_side, beam_length, voltage", EXACT_DESIGNS)
+def test_statics_and_profile_match_exact_reference(mirror_side, beam_length, voltage):
+    """statics and profile_points agree with exact arithmetic to a few ulp."""
+    config = scanner_a(voltage)._replace(mirror_side=mirror_side, beam_length=beam_length)
+    sol = Solution(*config.solve())
+    r_a, slope, y_max, x_star, y = exact_half_beam(sol.force, sol.a, sol.half_span, sol.rigidity)
+    assert relative_error(sol.reaction, r_a) <= 4e-15
+    assert relative_error(sol.tilt_signed, Fraction(math.atan(slope))) <= 4e-15
+    assert relative_error(sol.y_max, y_max) <= 4e-15
+    assert relative_error(sol.x_at_ymax, x_star) <= 4e-15
+    samples = 101
+    profile = list(profile_points(samples, sol.force, sol.a, sol.half_span, sol.rigidity))
+    for u, ordinate in profile[1:samples // 2]:
+        assert relative_error(ordinate, y(sol.half_span - u)) <= 4e-15
+    assert [v for _, v in profile] == [-v for _, v in reversed(profile)]
