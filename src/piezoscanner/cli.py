@@ -9,6 +9,7 @@ is byte-stable for identical inputs.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -38,16 +39,18 @@ def _fmt(value: float) -> str:
 
 
 def _write_atomic(path: str, header: str, lines) -> None:
-    """Write the header, then each newline-terminated line as it arrives, to a
-    new temp file beside path; rename it over path only once the last line is
-    written. The file gets the mode a plain open() would give it, 0o666 less
-    the umask, which the kernel applies."""
+    """Write the header, then the newline-terminated lines as they arrive, joined
+    1,024 to a write, to a new temp file beside path; rename it over path only
+    once the last line is written. The file gets the mode a plain open()
+    would give it, 0o666 less the umask, which the kernel applies."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}.csv")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="") as handle:
             handle.write(header + "\n")
-            handle.writelines(lines)
+            lines = iter(lines)
+            while chunk := "".join(itertools.islice(lines, 1024)):
+                handle.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -99,12 +99,13 @@ def section(substrate_E: float, substrate_t: float, piezo_E: float, piezo_t: flo
 
     try:
         # Stiffness-scaled layer areas per unit width; width cancels in h_eq.
-        a_s = substrate_E / e_ref * ts
-        a_p = piezo_E / e_ref * tp
+        r_s, r_p = substrate_E / e_ref, piezo_E / e_ref
+        a_s, a_p = r_s * ts, r_p * tp
         h_eq = (a_s * hs + a_p * h1 + a_p * h2) / (a_s + a_p + a_p)
-        i_eq = width * (substrate_E / e_ref * (ts**3 / 12 + ts * (h_eq - hs) ** 2)
-                        + piezo_E / e_ref * (tp**3 / 12 + tp * (h_eq - h1) ** 2)
-                        + piezo_E / e_ref * (tp**3 / 12 + tp * (h_eq - h2) ** 2))
+        i_p = tp**3 / 12  # every ** in i_eq raises the same OverflowError, so this order is free
+        i_eq = width * (r_s * (ts**3 / 12 + ts * (h_eq - hs) ** 2)
+                        + r_p * (i_p + tp * (h_eq - h1) ** 2)
+                        + r_p * (i_p + tp * (h_eq - h2) ** 2))
     except ArithmeticError as exc:
         raise OutOfRangeError("equivalent section", exc) from exc
     return h_eq, i_eq, e_ref, e_ref * i_eq

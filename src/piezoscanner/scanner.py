@@ -103,7 +103,9 @@ def statics(force: float, a: float, span: float, rigidity: float) -> tuple[float
     |y(x*)|. At zero force the profile is flat and (y_max, x_at_ymax) is (0.0, a).
 
     Raises OutOfRangeError where a stage overflows or divides by zero, and
-    ValueError where the force, the rigidity or a result is not finite.
+    ValueError naming the first of force, rigidity, reaction, tilt and y_max
+    that is not finite. Their sum is tested first: a sum with an inf or nan
+    term is not finite, and only such a sum walks the loop that names the value.
     """
     try:
         r_a = reaction(force, a, span)
@@ -115,10 +117,11 @@ def statics(force: float, a: float, span: float, rigidity: float) -> tuple[float
     except ArithmeticError as exc:
         raise OutOfRangeError("half-beam statics", exc) from exc
     # Finite inputs can still overflow; no non-finite result may leave the model.
-    for name, value in (("force", force), ("rigidity", rigidity), ("reaction", r_a),
-                        ("tilt", tilt_signed), ("y_max", y_max)):
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite {name} ({value}); the design overflows double precision")
+    if not math.isfinite(force + rigidity + r_a + tilt_signed + y_max):
+        for name, value in (("force", force), ("rigidity", rigidity), ("reaction", r_a),
+                            ("tilt", tilt_signed), ("y_max", y_max)):
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite {name} ({value}); the design overflows double precision")
     return r_a, tilt_signed, y_max, x_at
 
 

@@ -139,27 +139,21 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _REL_TOL = 1e-4  # golden-section stop: bracket width relative to the larger |bound|
 
 
-def _objective_value(spec: SweepSpec, objective: str, value: float) -> float:
-    _, tilt_deg, y_max, _, _, status = next(_points(spec.base, AXES[spec.axis], (value,)))
-    if status != "ok":
-        raise ValueError(f"objective undefined at {value}: {status}")
-    return tilt_deg if objective == "tilt" else y_max
-
-
 def optimize_1d(spec: SweepSpec, objective: str = "tilt") -> tuple[float, float]:
     """Maximize tilt or y_max over one axis.
 
-    Coarse grid scan on spec.steps points, then golden-section refinement
-    inside the bracketing triple around the grid optimum. Ties break toward
-    the smaller parameter value. The returned objective is never below any
-    grid sample.
+    Coarse grid scan on spec.steps points, skipping those that fail, then
+    golden-section refinement inside the bracketing triple around the grid
+    optimum. Ties break toward the smaller parameter value. The returned
+    objective is never below any grid sample. Raises ValueError "no feasible
+    point on the sweep grid", or "objective undefined at {value}: {error}"
+    where a golden-section point fails.
     """
     if objective not in _OBJECTIVES:
         raise ValueError(f"objective must be one of {_OBJECTIVES}")
 
-    records = run_sweep(spec)
-    grid = [(r.param_value, r.tilt_deg if objective == "tilt" else r.y_max_m)
-            for r in records if r.ok]
+    column = 1 if objective == "tilt" else 2  # of a sweep_points tuple
+    grid = [(point[0], point[column]) for point in sweep_points(spec) if point[5] == "ok"]
     if not grid:
         raise ValueError("no feasible point on the sweep grid")
 
@@ -174,22 +168,33 @@ def optimize_1d(spec: SweepSpec, objective: str = "tilt") -> tuple[float, float]
     if lo == hi:
         return best_x, best_f
 
+    design = list(spec.base)
+    index = spec.base._fields.index(AXES[spec.axis])
+
+    def objective_at(value: float) -> float:
+        design[index] = value
+        try:
+            _, _, _, _, _, tilt_signed, y_max, _ = solve_scanner(*design)
+        except ValueError as exc:
+            raise ValueError(f"objective undefined at {value}: {exc}") from exc
+        return math.degrees(abs(tilt_signed)) if column == 1 else y_max
+
     # Golden-section interior maximization on [lo, hi].
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc = _objective_value(spec, objective, c)
-    fd = _objective_value(spec, objective, d)
+    fc = objective_at(c)
+    fd = objective_at(d)
     scale = max(abs(lo), abs(hi), 1e-30)
     while (b - a) > _REL_TOL * scale:
         if fc > fd or (fc == fd and c < d):
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
-            fc = _objective_value(spec, objective, c)
+            fc = objective_at(c)
         else:
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
-            fd = _objective_value(spec, objective, d)
+            fd = objective_at(d)
 
     x_ref = c if (fc > fd or (fc == fd and c < d)) else d
     f_ref = max(fc, fd)

@@ -511,7 +511,22 @@ class TestAtomicWrites:
             _write_atomic(str(out), "x_um,y_um", rows())
         assert os.listdir(tmp_path) == []
 
-    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_stream_failing_past_first_chunk_leaves_target(self, tmp_path):
+        """A stream that fails after 1,500 rows, with its first 1,024 rows written."""
+        out = tmp_path / "p.csv"
+        out.write_bytes(b"earlier output\n")
+
+        def rows():
+            for i in range(1500):
+                yield f"{i},0\n"
+            raise ValueError("row 1500 fails")
+
+        with pytest.raises(ValueError, match="row 1500 fails"):
+            _write_atomic(str(out), "x_um,y_um", rows())
+        assert out.read_bytes() == b"earlier output\n"
+        assert os.listdir(tmp_path) == ["p.csv"]
+
+    @pytest.mark.parametrize("umask, mode",[(0o022, 0o644), (0o077, 0o600)])
     def test_mode_follows_umask(self, config_path, tmp_path, umask, mode):
         """The CSV gets the mode a plain open() would give it, not mkstemp's 0o600."""
         out = tmp_path / "m.csv"

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -6,8 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from piezoscanner.multimorph import OutOfRangeError
-from piezoscanner.scanner import ScannerGeometry, profile_points, reaction, statics
+from piezoscanner.multimorph import (
+    _E_REF_CHOICES, OutOfRangeError, check_stack, end_force, section,
+)
+from piezoscanner.scanner import (
+    ScannerGeometry, _slope, check_mirror, profile_points, reaction, solve_scanner, statics,
+)
+from piezoscanner.sweep import AXES, ScanConfig, SweepSpec, optimize_1d
 from piezoscanner.verification import branches
 
 from conftest import (
@@ -279,3 +285,142 @@ def test_statics_and_profile_match_exact_reference(mirror_side, beam_length, vol
     for u, ordinate in profile[1:samples // 2]:
         assert relative_error(ordinate, y(sol.half_span - u)) <= 4e-15
     assert [v for _, v in profile] == [-v for _, v in reversed(profile)]
+
+
+# The scalar reference: the bodies of statics and multimorph.section before the five
+# results shared one finite test and the section its modulus ratios. The model must
+# match them bit for bit, error texts included.
+def reference_statics(force, a, span, rigidity):
+    try:
+        r_a = reaction(force, a, span)
+        slope = _slope(force, a, span, rigidity)
+        tilt_signed = math.atan(slope)
+        ratio = (span + 2 * a) / (a + span)
+        y_max = abs(slope) * (4 / 27 * (span + 2 * a) * ratio * ratio)
+        x_at = (span**2 + a * span + 4 * a**2) / (3 * (a + span)) if force else a
+    except ArithmeticError as exc:
+        raise OutOfRangeError("half-beam statics", exc) from exc
+    # Finite inputs can still overflow; no non-finite result may leave the model.
+    for name, value in (("force", force), ("rigidity", rigidity), ("reaction", r_a),
+                        ("tilt", tilt_signed), ("y_max", y_max)):
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite {name} ({value}); the design overflows double precision")
+    return r_a, tilt_signed, y_max, x_at
+
+
+def reference_section(substrate_E, substrate_t, piezo_E, piezo_t, width, e_ref_choice="max"):
+    if e_ref_choice not in _E_REF_CHOICES:
+        raise ValueError(f"e_ref_choice must be one of {_E_REF_CHOICES}")
+    ts, tp = substrate_t, piezo_t
+    hs, h1, h2 = ts / 2, ts + tp / 2, ts + 1.5 * tp  # layer mid-heights
+
+    if e_ref_choice == "substrate":
+        e_ref = substrate_E
+    elif e_ref_choice == "piezo":
+        e_ref = piezo_E
+    else:
+        e_ref = max(substrate_E, piezo_E)
+
+    try:
+        # Stiffness-scaled layer areas per unit width; width cancels in h_eq.
+        a_s = substrate_E / e_ref * ts
+        a_p = piezo_E / e_ref * tp
+        h_eq = (a_s * hs + a_p * h1 + a_p * h2) / (a_s + a_p + a_p)
+        i_eq = width * (substrate_E / e_ref * (ts**3 / 12 + ts * (h_eq - hs) ** 2)
+                        + piezo_E / e_ref * (tp**3 / 12 + tp * (h_eq - h1) ** 2)
+                        + piezo_E / e_ref * (tp**3 / 12 + tp * (h_eq - h2) ** 2))
+    except ArithmeticError as exc:
+        raise OutOfRangeError("equivalent section", exc) from exc
+    return h_eq, i_eq, e_ref, e_ref * i_eq
+
+
+def reference_solve(substrate_E, piezo_E, d31, substrate_t, piezo_t, beam_width, beam_length,
+                    mirror_side, voltage):
+    """solve_scanner's stages with the reference section and statics."""
+    check_stack(substrate_E, substrate_t, piezo_E, piezo_t, beam_width, beam_length)
+    a, span = check_mirror(mirror_side, beam_length)
+    force = end_force(beam_width, piezo_t, piezo_E, d31, voltage, beam_length)
+    rigidity = reference_section(substrate_E, substrate_t, piezo_E, piezo_t, beam_width)[3]
+    return (force, rigidity, a, span, *reference_statics(force, a, span, rigidity))
+
+
+def outcome(function, *args):
+    """The hex of every float the call returns, or its exception's exact type and text."""
+    try:
+        return [value.hex() for value in function(*args)]
+    except Exception as exc:  # the exception type is part of what is compared
+        return type(exc), str(exc)
+
+
+# Physical bounds of each ScanConfig field, in its order.
+PHYSICAL_RANGES = ((10e9, 500e9), (10e9, 500e9), (-500e-12, 500e-12), (0.2e-6, 20e-6),
+                   (0.2e-6, 20e-6), (5e-6, 200e-6), (100e-6, 2000e-6), (10e-6, 1000e-6),
+                   (-200.0, 200.0))
+
+
+def physical_design(rng):
+    return ScanConfig(*(rng.uniform(lo, hi) for lo, hi in PHYSICAL_RANGES))
+
+
+def extreme_value(rng):
+    """0, inf, -inf or a log-uniform magnitude in 1e-300 .. 1e300 of either sign."""
+    draw = rng.random()
+    if draw < 0.03:
+        return rng.choice((0.0, -0.0, math.inf, -math.inf))
+    magnitude = 10 ** rng.uniform(-300, 300)
+    return -magnitude if draw < 0.08 else magnitude
+
+
+def test_solve_matches_scalar_reference_bit_for_bit():
+    """20,000 seeded designs, half physical and half extreme: solve_scanner, statics on
+    the design's own loads and section under every e_ref choice give the reference's bits
+    or its exact exception."""
+    rng = random.Random(20261019)
+    solved = 0
+    for i in range(20_000):
+        config = physical_design(rng) if i % 2 else ScanConfig(*(extreme_value(rng) for _ in range(9)))
+        got = outcome(solve_scanner, *config)
+        assert got == outcome(reference_solve, *config), config
+        solved += isinstance(got, list)
+        loads = (extreme_value(rng), abs(extreme_value(rng)), abs(extreme_value(rng)),
+                 abs(extreme_value(rng)))
+        assert outcome(statics, *loads) == outcome(reference_statics, *loads), loads
+        stack = (config.substrate_E, config.substrate_t, config.piezo_E, config.piezo_t,
+                 config.beam_width)
+        for choice in _E_REF_CHOICES:
+            assert outcome(section, *stack, choice) == outcome(reference_section, *stack, choice)
+    assert solved > 10_000  # every physical design and some extreme ones solve
+
+
+# optimize_1d's (best_x, best_f) as hex on two seeded physical specs per axis, as the
+# optimizer found them when its grid scan still built SweepRecords.
+OPTIMIZER_PINS = {
+    ("beam_length", "tilt"): ("0x1.be97d0127c4ffp-10", "0x1.3e6f3a056fc70p-5"),
+    ("beam_length", "y_max"): ("0x1.a801eee71bcf9p-10", "0x1.9551d866014ecp-21"),
+    ("beam_width", "tilt"): ("0x1.7adcf4c8f5911p-13", "0x1.70ce4f7054376p-3"),
+    ("beam_width", "y_max"): ("0x1.d308dd5022351p-15", "0x1.683bfe94f3dfdp-27"),
+    ("mirror_side", "tilt"): ("0x1.da7d30b85c534p-11", "0x1.0b42559a3e9dfp+3"),
+    ("mirror_side", "y_max"): ("0x1.0596a187408acp-11", "0x1.0e9d32bb53551p-22"),
+    ("piezo_thickness", "tilt"): ("0x1.500532f58ad75p-20", "0x1.cbd54cec9fdbep+1"),
+    ("piezo_thickness", "y_max"): ("0x1.44d81f2999b03p-17", "0x1.6fb46f8b549d0p-19"),
+    ("substrate_thickness", "tilt"): ("0x1.0aa257d755bb9p-17", "0x1.e018300aa3594p-2"),
+    ("substrate_thickness", "y_max"): ("0x1.f61eb09fcce68p-21", "0x1.1a435c3a89c48p-19"),
+    ("voltage", "tilt"): ("-0x1.8e3cb4668ea68p+7", "0x1.3c5a1405f167fp-1"),
+    ("voltage", "y_max"): ("0x1.41d5e96fdadc8p+7", "0x1.db4be6c541b70p-20"),
+}
+
+
+def optimizer_specs():
+    rng = random.Random(1414)
+    for axis in sorted(AXES):
+        lo, hi = PHYSICAL_RANGES[ScanConfig._fields.index(AXES[axis])]
+        for objective in ("tilt", "y_max"):
+            start, stop = sorted(rng.uniform(lo, hi) for _ in range(2))
+            yield SweepSpec(physical_design(rng), axis, start, stop, 64), objective
+
+
+@pytest.mark.parametrize("spec, objective", list(optimizer_specs()),
+                         ids=[f"{spec.axis}-{objective}" for spec, objective in optimizer_specs()])
+def test_optimize_1d_pinned(spec, objective):
+    best_x, best_f = optimize_1d(spec, objective)
+    assert (best_x.hex(), best_f.hex()) == OPTIMIZER_PINS[spec.axis, objective]

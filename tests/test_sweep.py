@@ -166,6 +166,21 @@ class TestOptimize:
         with pytest.raises(ValueError):
             optimize_1d(beam_length_spec(), objective="mass")
 
+    def test_failed_grid_points_are_skipped(self):
+        # -100 um fails; the scan brackets the optimum among the four that solve.
+        spec = beam_length_spec(steps=5, start=-100e-6, stop=850e-6)
+        assert optimize_1d(spec, objective="tilt") == (0.00085, 0.5319742417015908)
+
+    def test_failed_points_skipped_below_the_feasible_range(self):
+        # -1 mm and -1/3 mm fail; the golden section searches [1/3 mm, 1 mm].
+        spec = SweepSpec(base=reference_config(), axis="mirror_side", start=-1e-3, stop=1e-3, steps=4)
+        assert optimize_1d(spec, objective="y_max") == (0.001, 7.419774462702619e-06)
+
+    def test_all_failed_grid(self):
+        spec = beam_length_spec(steps=5, start=-2e-3, stop=-1e-3)
+        with pytest.raises(ValueError, match="^no feasible point on the sweep grid$"):
+            optimize_1d(spec, objective="tilt")
+
 
 class TestTable1:
     def test_rows_within_paper_tolerance(self):
