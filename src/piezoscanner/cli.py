@@ -113,7 +113,9 @@ def _sweep_row(axis: str, value: float, tilt_deg: float, y_max: float, force: fl
     if status == "ok":
         cells = (tilt_deg, y_max * 1e6, abs(force) * 1e6, reaction * 1e6)
         try:
-            _check_csv_units(cells)
+            # A sum with an inf or nan term is not finite: only such a row needs the check.
+            if not math.isfinite(tilt_deg + cells[1] + cells[2] + cells[3]):
+                _check_csv_units(cells)
         except ValueError as exc:
             status = str(exc)
         else:
@@ -168,7 +170,12 @@ def _cmd_verify(args) -> int:
         raise ConfigError("--nodes must be odd and >= 11")
     if args.nodes > MAX_SAMPLES:
         raise ConfigError(f"--nodes must be odd and in [11, {MAX_SAMPLES}]")
-    from . import verification  # numpy loads only for verify
+    try:
+        from . import verification  # numpy loads only for verify
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        raise ConfigError(f"verify needs numpy: {exc}") from exc
 
     print(
         "assumed constants: "

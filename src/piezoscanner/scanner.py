@@ -10,7 +10,13 @@ equivalent rigidity.
 
 :func:`solve_scanner` is the model's one solve of a design, on the plain
 floats of its fields: `model`, `profile`, the sweeps, the optimizer,
-`table1` and `verify`'s oracle checks all solve through it.
+`table1` and `verify`'s oracle checks all solve through it. The statics
+split into a geometry part, the factors that depend on (a, span) alone,
+and a load part that scales them (see :func:`statics`). :func:`solve_scanner`
+keeps the last rigidity, keyed on the five stack fields :func:`section`
+reads, and the last geometry factors, keyed on (a, span). The keys are
+checked positive floats, so equal keys are equal bits: a hit returns the
+bits a miss computes.
 :func:`check_mirror` is the model's one check of the half-beam geometry,
 and :class:`piezoscanner.oracle.BeamProblem` the oracle's. The closed forms
 assume 0 < a < span and rigidity > 0. A stack's rigidity is positive
@@ -63,9 +69,24 @@ def check_mirror(mirror_side: float, length: float) -> tuple[float, float]:
     return a, span
 
 
+def _geometry(a: float, span: float) -> tuple[float, float, float, float, float]:
+    """(ratio, l3, q, y_factor, x_star), the factors of :func:`statics` that depend on
+    (a, span) alone; raises OutOfRangeError where a power overflows or q underflows to 0."""
+    try:
+        q = a**2 + a * span + span**2
+        ratio = (span - a) * (2 * span + a) / (2 * q)
+        l3 = (span - a) ** 3
+        r = (span + 2 * a) / (a + span)
+        y_factor = 4 / 27 * (span + 2 * a) * r * r
+        x_star = (span**2 + a * span + 4 * a**2) / (3 * (a + span))
+    except ArithmeticError as exc:
+        raise OutOfRangeError("half-beam statics", exc) from exc
+    return ratio, l3, q, y_factor, x_star
+
+
 def reaction(force: float, a: float, span: float) -> float:
     """Redundant reaction at the mirror-center support, -force times a ratio in (0, 1]."""
-    return -force * ((span - a) * (2 * span + a) / (2 * (a**2 + a * span + span**2)))
+    return -force * _geometry(a, span)[0]
 
 
 # With L = span - a, the mirror segment is y = slope * x and the beam branch
@@ -80,8 +101,9 @@ def reaction(force: float, a: float, span: float) -> float:
 
 
 def _slope(force: float, a: float, span: float, rigidity: float) -> float:
-    """The mirror segment's slope, force a L^3 / den."""
-    return force * a * (span - a) ** 3 / (4 * rigidity * (a**2 + span * a + span**2))
+    """The mirror segment's slope, force a L^3 / den, as :func:`statics` computes it."""
+    _, l3, q, _, _ = _geometry(a, span)
+    return force * a * l3 / (4 * rigidity * q)
 
 
 def _beam(x, slope, a, span):
@@ -89,6 +111,26 @@ def _beam(x, slope, a, span):
     length = span - a
     u = (x - span) / length
     return slope * u * u * (2 * a * (x - a) / length + x)
+
+
+def _load(force: float, a: float, rigidity: float, geometry) -> tuple[float, float, float, float]:
+    """statics' (reaction, tilt_signed, y_max, x_at_ymax) from the factors of :func:`_geometry`."""
+    ratio, l3, q, y_factor, x_star = geometry
+    try:
+        slope = force * a * l3 / (4 * rigidity * q)
+    except ZeroDivisionError as exc:
+        raise OutOfRangeError("half-beam statics", exc) from exc
+    r_a = -force * ratio
+    tilt_signed = math.atan(slope)
+    y_max = abs(slope) * y_factor
+    x_at = x_star if force else a
+    # Finite inputs can still overflow; no non-finite result may leave the model.
+    if not math.isfinite(force + rigidity + r_a + tilt_signed + y_max):
+        for name, value in (("force", force), ("rigidity", rigidity), ("reaction", r_a),
+                            ("tilt", tilt_signed), ("y_max", y_max)):
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite {name} ({value}); the design overflows double precision")
+    return r_a, tilt_signed, y_max, x_at
 
 
 def statics(force: float, a: float, span: float, rigidity: float) -> tuple[float, float, float, float]:
@@ -102,27 +144,30 @@ def statics(force: float, a: float, span: float, rigidity: float) -> tuple[float
     the junction's |slope| a, the largest |y| on the mirror, so y_max is
     |y(x*)|. At zero force the profile is flat and (y_max, x_at_ymax) is (0.0, a).
 
+    The geometry part, :func:`_geometry`, computes the factors that depend on
+    (a, span) alone: the reaction ratio, L^3, q = a^2 + a span + span^2,
+    y_factor = (4/27) (span + 2a) ((span + 2a) / (a + span))^2 and x*. The
+    load part, :func:`_load`, scales them: reaction = -force ratio, slope =
+    force a L^3 / (4 rigidity q), tilt = atan(slope), y_max = |slope| y_factor.
+    Each value takes one expression's operations in order, and the geometry
+    part raises first, as a single pass would. :func:`solve_scanner` reuses
+    the last factors and rigidity while their keys, (a, span) and section's
+    five stack fields, are unchanged; the keys are checked positive floats, so
+    equal keys are equal bits. statics caches nothing: it takes +-0 and nan.
+
     Raises OutOfRangeError where a stage overflows or divides by zero, and
     ValueError naming the first of force, rigidity, reaction, tilt and y_max
     that is not finite. Their sum is tested first: a sum with an inf or nan
     term is not finite, and only such a sum walks the loop that names the value.
     """
-    try:
-        r_a = reaction(force, a, span)
-        slope = _slope(force, a, span, rigidity)
-        tilt_signed = math.atan(slope)
-        ratio = (span + 2 * a) / (a + span)
-        y_max = abs(slope) * (4 / 27 * (span + 2 * a) * ratio * ratio)
-        x_at = (span**2 + a * span + 4 * a**2) / (3 * (a + span)) if force else a
-    except ArithmeticError as exc:
-        raise OutOfRangeError("half-beam statics", exc) from exc
-    # Finite inputs can still overflow; no non-finite result may leave the model.
-    if not math.isfinite(force + rigidity + r_a + tilt_signed + y_max):
-        for name, value in (("force", force), ("rigidity", rigidity), ("reaction", r_a),
-                            ("tilt", tilt_signed), ("y_max", y_max)):
-            if not math.isfinite(value):
-                raise ValueError(f"non-finite {name} ({value}); the design overflows double precision")
-    return r_a, tilt_signed, y_max, x_at
+    return _load(force, a, rigidity, _geometry(a, span))
+
+
+# solve_scanner's two one-entry caches, each (key, value) in one tuple so that a
+# reader never pairs one call's key with another's value: the section's five stack
+# fields -> rigidity, and (a, span) -> the geometry part's factors.
+_last_section = ((), 0.0)
+_last_geometry = ((), ())
 
 
 def solve_scanner(substrate_E: float, piezo_E: float, d31: float, substrate_t: float,
@@ -134,12 +179,29 @@ def solve_scanner(substrate_E: float, piezo_E: float, d31: float, substrate_t: f
     The stack is checked first, then the mirror, so a design that fails both
     raises the stack's error. Nothing is sampled; :func:`profile_points`
     samples the profile.
+
+    A sweep or an optimizer step changes one field of the last design, so
+    the rigidity and the geometry factors are kept for their last key (see
+    :func:`statics`); a computation that raises stores nothing. Threads may
+    race on a miss, but each reads a key and its value from one tuple. The
+    fields are floats, as the config parser and the sweeps give them: an int
+    equal to a cached float reuses the float's value.
     """
+    global _last_section, _last_geometry
     check_stack(substrate_E, substrate_t, piezo_E, piezo_t, beam_width, beam_length)
     a, span = check_mirror(mirror_side, beam_length)
     force = end_force(beam_width, piezo_t, piezo_E, d31, voltage, beam_length)
-    rigidity = section(substrate_E, substrate_t, piezo_E, piezo_t, beam_width)[3]
-    r_a, tilt_signed, y_max, x_at = statics(force, a, span, rigidity)
+    stack = substrate_E, substrate_t, piezo_E, piezo_t, beam_width
+    key, rigidity = _last_section
+    if key != stack:
+        rigidity = section(*stack)[3]
+        _last_section = stack, rigidity
+    ends = a, span
+    key, geometry = _last_geometry
+    if key != ends:
+        geometry = _geometry(a, span)
+        _last_geometry = ends, geometry
+    r_a, tilt_signed, y_max, x_at = _load(force, a, rigidity, geometry)
     return force, rigidity, a, span, r_a, tilt_signed, y_max, x_at
 
 

@@ -382,6 +382,17 @@ class TestVerifyCommand:
         assert captured.err == f"config: --nodes must be odd and in [11, {MAX_SAMPLES}]\n"
         assert captured.out == ""
 
+    def test_without_numpy_one_config_line(self):
+        """Where numpy cannot be imported, verify exits 1 with one line, not a traceback."""
+        src = os.path.dirname(os.path.dirname(piezoscanner.__file__))
+        probe = "import sys; sys.modules['numpy'] = None; from piezoscanner.cli import main; main()"
+        result = subprocess.run([sys.executable, "-c", probe, "verify"],
+                                env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == ("config: verify needs numpy: "
+                                 "import of numpy halted; None in sys.modules\n")
+
 
 class TestNonFiniteResults:
     """Finite inputs whose results overflow fail with exit 2, never print nan or inf."""

@@ -1,6 +1,8 @@
 import math
 import random
 import re
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from piezoscanner.multimorph import (
 from piezoscanner.scanner import (
     ScannerGeometry, _slope, check_mirror, profile_points, reaction, solve_scanner, statics,
 )
+from piezoscanner import sweep
 from piezoscanner.sweep import AXES, ScanConfig, SweepSpec, optimize_1d
 from piezoscanner.verification import branches
 
@@ -424,3 +427,101 @@ def optimizer_specs():
 def test_optimize_1d_pinned(spec, objective):
     best_x, best_f = optimize_1d(spec, objective)
     assert (best_x.hex(), best_f.hex()) == OPTIMIZER_PINS[spec.axis, objective]
+
+
+def sweep_values(rng, base, axis, physical):
+    """A sweep of one axis of base: 40 steps over the axis's physical range from a physical
+    base, or 40 sorted extreme values from an extreme one."""
+    if physical:
+        return list(SweepSpec(base, axis, *PHYSICAL_RANGES[ScanConfig._fields.index(AXES[axis])],
+                              40).grid())
+    return sorted(extreme_value(rng) for _ in range(40))
+
+
+def test_cached_solves_match_reference_bit_for_bit():
+    """solve_scanner keeps the last section and (a, span) factors. Sweeps along all six axes,
+    a walk whose consecutive designs differ in one field, and beams that round a + L to the
+    same span for several mirrors give reference_solve's bits or its exact exception."""
+    rng = random.Random(20261020)
+    bases = [(physical_design(rng), True) if i % 2
+             else (ScanConfig(*(extreme_value(rng) for _ in range(9))), False) for i in range(60)]
+    sweeps = [(base, axis, sweep_values(rng, base, axis, physical))
+              for base, physical in bases for axis in sorted(AXES)]
+    # a + L rounds to span = 1 m for every mirror, so (a, span) changes in a alone, and
+    # span - a leaves 1 once a passes a quarter of the ulp of 1.
+    sweeps.append((physical_design(rng)._replace(beam_length=1.0), "mirror_side",
+                   [m * 4e-18 for m in range(1, 56)]))
+    solved = 0
+    for base, axis, values in sweeps:
+        design = list(base)
+        index = ScanConfig._fields.index(AXES[axis])
+        for value in values:
+            design[index] = value
+            got = outcome(solve_scanner, *design)
+            assert got == outcome(reference_solve, *design), (axis, design)
+            solved += isinstance(got, list)
+
+    # Each field takes one of two physical values or one extreme value, so steps return to
+    # cached keys and leave them in every order.
+    pools = [(rng.uniform(lo, hi), rng.uniform(lo, hi), extreme_value(rng))
+             for lo, hi in PHYSICAL_RANGES]
+    design = [pool[0] for pool in pools]
+    for _ in range(20_000):
+        field = rng.randrange(len(design))
+        value = rng.choice([v for v in pools[field] if v != design[field]])
+        design[field] = value
+        got = outcome(solve_scanner, *design)
+        assert got == outcome(reference_solve, *design), design
+        solved += isinstance(got, list)
+    assert solved > 10_000
+
+
+def test_optimizer_steps_match_reference_bit_for_bit(monkeypatch):
+    """Every grid point and golden-section step of optimize_1d, whose consecutive solves
+    differ in the optimized field, gives reference_solve's bits or its exact exception."""
+    steps = []
+
+    def checked_solve(*design):
+        steps.append(design)
+        expected = outcome(reference_solve, *design)
+        try:
+            result = solve_scanner(*design)
+        except Exception as exc:  # the exception type is part of what is compared
+            assert (type(exc), str(exc)) == expected, design
+            raise
+        assert [value.hex() for value in result] == expected, design
+        return result
+
+    monkeypatch.setattr(sweep, "solve_scanner", checked_solve)
+    for spec, objective in optimizer_specs():
+        optimize_1d(spec, objective)
+    assert len(steps) > 12 * 64
+
+
+def test_cached_solves_are_thread_safe():
+    """Four threads, two per design, sweep the voltage of two designs with a 0.1 ms switch
+    interval, so solves keep replacing the other design's cached keys; each thread gets the
+    reference's results."""
+    rng = random.Random(20261021)
+    jobs = []
+    for base in (physical_design(rng), physical_design(rng)):
+        designs = [base._replace(voltage=v) for v in SweepSpec(base, "voltage", -200.0, 200.0, 500).grid()]
+        jobs.append((designs, [outcome(reference_solve, *design) for design in designs]))
+    mismatches = []
+
+    def run(designs, expected):
+        for _ in range(10):
+            mismatches.extend(d for d, e in zip(designs, expected) if outcome(solve_scanner, *d) != e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        threads = [threading.Thread(target=run, args=jobs[i % 2]) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
