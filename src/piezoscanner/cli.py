@@ -21,7 +21,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
 # Bounds on a command's run time: 10x the largest benchmarked profile and sweep. Both
-# stream their rows, so memory does not grow with --samples or --steps.
+# stream their rows. A sweep's memory does not grow with --steps; a profile keeps its
+# left-half ordinates for the right half, 8 bytes a sample, about 8 MB at MAX_SAMPLES.
 MAX_SAMPLES = 2_000_001  # profile samples and verify nodes
 MAX_STEPS = 200_000  # sweep points
 
@@ -38,24 +39,37 @@ def _fmt(value: float) -> str:
     return f"{value:.9g}"
 
 
-def _write_atomic(path: str, header: str, lines) -> None:
-    """Write the header, then the newline-terminated lines as they arrive, joined
-    1,024 to a write, to a new temp file beside path; rename it over path only
-    once the last line is written. The file gets the mode a plain open()
-    would give it, 0o666 less the umask, which the kernel applies."""
+def _write_atomic(path: str, header: str, pieces) -> None:
+    """Write the header line, then the string pieces as they arrive, to a new temp file
+    beside path; rename it over path only once the last piece is written. Memory holds one
+    piece at a time: callers that stream rows join them 1,024 to a piece. The file gets
+    the mode a plain open() would give it, 0o666 less the umask, which the kernel applies."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}.csv")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="") as handle:
             handle.write(header + "\n")
-            lines = iter(lines)
-            while chunk := "".join(itertools.islice(lines, 1024)):
-                handle.write(chunk)
+            for piece in pieces:
+                handle.write(piece)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _joined(lines):
+    """The newline-terminated lines of a stream, joined 1,024 to a piece."""
+    lines = iter(lines)
+    while chunk := "".join(itertools.islice(lines, 1024)):
+        yield chunk
+
+
+def _profile_rows(points):
+    """The profile CSV's rows of (u, y) points in SI, in µm, 1,024 rows to one format."""
+    points = iter(points)
+    while values := tuple(v * 1e6 for point in itertools.islice(points, 1024) for v in point):
+        yield ("%.9g,%.9g\n" * (len(values) // 2)) % values  # "%.9g" renders floats as _fmt does
 
 
 def _load_config(path: str) -> sweep_mod.ScanConfig:
@@ -102,8 +116,7 @@ def _cmd_profile(args) -> int:
     _model_row(*solution)  # every |y| is at most y_max: this bounds the rows in CSV units too
     force, rigidity, a, half_span = solution[:4]
     points = scanner.profile_points(args.samples, force, a, half_span, rigidity)
-    # "%.9g" renders every float as _fmt does, in one format per row.
-    _write_atomic(args.out, "x_um,y_um", ("%.9g,%.9g\n" % (u * 1e6, y * 1e6) for u, y in points))
+    _write_atomic(args.out, "x_um,y_um", _profile_rows(points))
     return EXIT_OK
 
 
@@ -146,7 +159,7 @@ def _cmd_sweep(args) -> int:
             failed += not line.endswith(",ok\n")
             yield line
 
-    _write_atomic(args.out, _SWEEP_HEADER, rows())
+    _write_atomic(args.out, _SWEEP_HEADER, _joined(rows()))
     if failed:
         print("numeric: some sweep points failed; see the status column", file=sys.stderr)
         return EXIT_NUMERIC

@@ -11,8 +11,9 @@ import textwrap
 import pytest
 
 import piezoscanner
-from piezoscanner.cli import MAX_SAMPLES, MAX_STEPS, _fmt, _write_atomic, run
+from piezoscanner.cli import MAX_SAMPLES, MAX_STEPS, _fmt, _joined, _write_atomic, run
 from piezoscanner.config import ConfigError, parse_config
+from piezoscanner.scanner import profile_points
 from piezoscanner.sweep import reference_config
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -213,6 +214,41 @@ class TestProfileCommand:
         assert run(["profile", "--config", config_path, "--samples", "401", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "ba6d82e49119ecef35f0f3bd509ba40fde8c6dcc714081a6ae837cf0754ede18")
+
+    def test_bytes_pinned_across_chunks(self, config_path, tmp_path):
+        """Scanner A's 2,001-sample CSV, whose rows fill one 1,024-row chunk and part of a
+        second, keeps its bytes; 2,000 samples are bumped to the same 2,001."""
+        for samples in ("2001", "2000"):
+            out = tmp_path / f"p{samples}.csv"
+            assert run(["profile", "--config", config_path, "--samples", samples,
+                        "--out", str(out)]) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+                "fa0c60ece7ccdb4b418861e890eec46c592ea8bcd197d22e6edddefaeda4bb94")
+
+    @pytest.mark.parametrize("samples", [2, 3, 4, 5, 1023, 1024, 1025, 2047, 2049, 4097])
+    def test_rows_format_as_one_row_at_a_time(self, config_path, tmp_path, samples):
+        """The rows, formatted 1,024 to a call, are the bytes of one "%.9g" format per row:
+        short, full, partial last and even-count (bumped to odd) chunks alike."""
+        out = tmp_path / "p.csv"
+        assert run(["profile", "--config", config_path, "--samples", str(samples),
+                    "--out", str(out)]) == 0
+        force, rigidity, a, half_span = parse_config(SCANNER_A_CFG).solve()[:4]
+        points = profile_points(samples, force, a, half_span, rigidity)
+        assert out.read_text() == "x_um,y_um\n" + "".join(
+            "%.9g,%.9g\n" % (u * 1e6, y * 1e6) for u, y in points)
+
+    @pytest.mark.parametrize("edit", [
+        ("voltage_V = 50", "voltage_V = 0"),
+        ("[material.piezo]\nname = pzt-5h",
+         "[material.piezo]\nE_GPa = 60.6\nd31_pm_per_V = 0\ns11E_per_TPa = 16.5016502"),
+    ], ids=["voltage-0", "d31-0"])
+    def test_zero_drive_writes_no_negative_zero(self, tmp_path, edit):
+        """At zero drive every ordinate is 0, in both halves, never -0."""
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(SCANNER_A_CFG.replace(*edit))
+        out = tmp_path / "p.csv"
+        assert run(["profile", "--config", str(cfg), "--samples", "7", "--out", str(out)]) == 0
+        assert [line.split(",")[1] for line in out.read_text().splitlines()[1:]] == ["0"] * 7
 
 
 # The README's model, sweep and table1 commands on Scanner A: argv after the
@@ -466,8 +502,9 @@ class TestNonFiniteResults:
 
 @pytest.mark.parametrize("flags", [(), ("-S",)], ids=["site", "no-site"])
 def test_cli_import_loads_no_scipy(config_path, tmp_path, flags):
-    """Neither scipy nor numpy loads for the import or any command but verify. Under -S,
-    with no site hook that may load them itself, neither do dataclasses, inspect or tempfile."""
+    """Neither scipy nor numpy loads for the import or any command but verify, nor array,
+    which only profile loads, for the import. Under -S, with no site hook that may load them
+    itself, neither do dataclasses, inspect or tempfile."""
     src = os.path.dirname(os.path.dirname(piezoscanner.__file__))
     probe = textwrap.dedent(
         """\
@@ -475,6 +512,7 @@ def test_cli_import_loads_no_scipy(config_path, tmp_path, flags):
         import piezoscanner.cli as cli
         assert 'scipy' not in sys.modules, 'scipy imported'
         assert 'numpy' not in sys.modules, 'numpy imported by the import'
+        assert 'array' not in sys.modules, 'array imported by the import'
         cfg, out = sys.argv[1:]
         for argv in (["model", "--config", cfg], ["profile", "--config", cfg],
                      ["sweep", "--config", cfg, "--axis", "voltage", "--from=0", "--to=50",
@@ -533,7 +571,7 @@ class TestAtomicWrites:
             raise ValueError("row 1500 fails")
 
         with pytest.raises(ValueError, match="row 1500 fails"):
-            _write_atomic(str(out), "x_um,y_um", rows())
+            _write_atomic(str(out), "x_um,y_um", _joined(rows()))
         assert out.read_bytes() == b"earlier output\n"
         assert os.listdir(tmp_path) == ["p.csv"]
 

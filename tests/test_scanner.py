@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import struct
 import sys
 import threading
 from fractions import Fraction
@@ -13,7 +14,8 @@ from piezoscanner.multimorph import (
     _E_REF_CHOICES, OutOfRangeError, check_stack, end_force, section,
 )
 from piezoscanner.scanner import (
-    ScannerGeometry, _slope, check_mirror, profile_points, reaction, solve_scanner, statics,
+    ScannerGeometry, _beam, _slope, check_mirror, profile_points, reaction, solve_scanner,
+    statics,
 )
 from piezoscanner import sweep
 from piezoscanner.sweep import AXES, ScanConfig, SweepSpec, optimize_1d
@@ -525,3 +527,109 @@ def test_cached_solves_are_thread_safe():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert mismatches == []
+
+
+# The profile reference: profile_points' body before the left half's ordinates were
+# kept for the right half, verbatim. The model must match it bit for bit, error texts
+# included, except that a zero ordinate is now +0.0 where the reference gave -0.0.
+def reference_profile_points(samples: int, force: float, a: float, span: float, rigidity: float):
+    if samples < 2:
+        raise ValueError("samples must be >= 2")
+    if samples % 2 == 0:
+        samples += 1
+
+    slope = _slope(force, a, span, rigidity)
+
+    def half(x: float) -> float:
+        return slope * x if x <= a else _beam(x, slope, a, span)
+
+    # The right half mirrors the grid of the left around the center, so the
+    # antisymmetry of the two half-profiles is exact in floating point. The
+    # anchors are clamped to y = 0: their ordinates are evaluated and
+    # dropped, so a design the closed forms cannot evaluate fails at any
+    # sample count.
+    full = 2 * span
+    last = samples - 1
+    mid = last // 2
+    u = full * 0 / last
+    half(span - u)
+    yield u, 0.0
+    for i in range(1, mid):
+        u = full * i / last
+        y = half(span - u)
+        if not math.isfinite(y):
+            raise ValueError(f"non-finite profile ordinate ({y}) at u={u}")
+        yield u, y
+    # full * mid / last can round off span; the center is the fixed support.
+    yield span, 0.0
+    for i in range(mid + 1, last):
+        u_mirror = full * (last - i) / last
+        u = full - u_mirror
+        y = -half(span - u_mirror)
+        if not math.isfinite(y):
+            raise ValueError(f"non-finite profile ordinate ({y}) at u={u}")
+        yield u, y
+    u_mirror = full * 0 / last
+    half(span - u_mirror)
+    yield full - u_mirror, 0.0
+
+
+def profile_outcome(function, *args):
+    """The hex of every (u, y) the generator yields, or its exception's exact type and text."""
+    try:
+        return [(u.hex(), y.hex()) for u, y in function(*args)]
+    except Exception as exc:  # the exception type is part of what is compared
+        return type(exc), str(exc)
+
+
+# Sample counts of 2 to 5, and around one, two and four of the CLI's 1,024-row chunks.
+PROFILE_SAMPLES = (2, 3, 4, 5, 1023, 1024, 1025, 2047, 2049, 4097)
+
+
+def extreme_profile_load(rng):
+    """(force, a, span, rigidity): a force of +-0, +-inf, nan or log-uniform in 1e-300 ..
+    1e300 of either sign, and a, the beam length and the rigidity log-uniform in 1e-300 ..
+    1e300, so that a + length can round to a and the statics can overflow or underflow."""
+    force = rng.choice((0.0, -0.0, math.inf, -math.inf, math.nan, None, None, None))
+    if force is None:
+        force = math.copysign(10 ** rng.uniform(-300, 300), rng.random() - 0.5)
+    a, length, rigidity = (10 ** rng.uniform(-300, 300) for _ in range(3))
+    return force, a, a + length, rigidity
+
+
+def test_profile_matches_reference_bit_for_bit():
+    """profile_points gives reference_profile_points' bits, a zero ordinate as +0.0, or its
+    exact exception, on physical and extreme designs at every count of PROFILE_SAMPLES."""
+    rng = random.Random(20261022)
+    sampled_ok = failed = 0
+    for i in range(200):
+        if i % 2:
+            sol = Solution(*solve_scanner(*physical_design(rng)))
+            load = sol.force, sol.a, sol.half_span, sol.rigidity
+        else:
+            load = extreme_profile_load(rng)
+        for samples in (*PROFILE_SAMPLES[:4], PROFILE_SAMPLES[4 + i % 6]):
+            got = profile_outcome(profile_points, samples, *load)
+            expected = profile_outcome(reference_profile_points, samples, *load)
+            if isinstance(expected, list):
+                expected = [(u, "0x0.0p+0" if y == "-0x0.0p+0" else y) for u, y in expected]
+            assert got == expected, (samples, load)
+            if isinstance(got, list):
+                sampled_ok += 1
+            else:
+                failed += 1
+    assert sampled_ok > 500 and failed > 50  # both outcomes are compared
+
+
+def test_zero_sign_fix_keeps_nonzero_bits():
+    """y + 0.0 and 0.0 - y, which profile_points yields for y and -y so that no ordinate
+    is -0.0, have the bits of y and -y for every nonzero y."""
+    rng = random.Random(20261023)
+    special = [5e-324, -5e-324, sys.float_info.min, -sys.float_info.min, sys.float_info.max,
+               -sys.float_info.max, math.inf, -math.inf]
+    drawn = [struct.unpack("<d", struct.pack("<Q", rng.getrandbits(64)))[0] for _ in range(100_000)]
+    values = [y for y in special + drawn if y == y and y != 0.0]
+    mismatched = [y for y in values if ((y + 0.0).hex(), (0.0 - y).hex()) != (y.hex(), (-y).hex())]
+    assert mismatched == []
+    zeros = [(y + 0.0).hex() for y in (0.0, -0.0)] + [(0.0 - y).hex() for y in (0.0, -0.0)]
+    assert zeros == ["0x0.0p+0"] * 4
