@@ -8,12 +8,12 @@ number, the smallest order over 101/201/401 nodes; this table shows the
 error falling by ~4x per halving of the grid step across the whole range.
 """
 
-from piezoscanner import reference_config
+from piezoscanner import reference_config, solve_scanner
 from piezoscanner.oracle import BeamProblem, convergence_orders, convergence_study
 
 
 def main():
-    force, rigidity, a, span, *_ = reference_config().solve()
+    force, rigidity, a, span, *_ = solve_scanner(*reference_config())
     problem = BeamProblem(span=span, a=a, force=force, rigidity=rigidity)
     counts = [101, 201, 401, 801, 1601]
     errors = convergence_study(problem, counts)

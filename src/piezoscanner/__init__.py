@@ -6,16 +6,10 @@ closed forms against an independent finite-difference beam solver, and
 sweeps/optimizes the geometry for scan angle.
 """
 
-from .multimorph import EquivalentSection, MultimorphStack, equivalent_force, equivalent_section
-from .scanner import ScannerGeometry, solve_scanner
+from .scanner import solve_scanner
 from .sweep import ScanConfig, SweepRecord, SweepSpec, optimize_1d, reference_config, run_sweep, table1
 
 __all__ = [
-    "EquivalentSection",
-    "MultimorphStack",
-    "equivalent_force",
-    "equivalent_section",
-    "ScannerGeometry",
     "solve_scanner",
     "ScanConfig",
     "SweepRecord",

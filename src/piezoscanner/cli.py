@@ -98,7 +98,7 @@ def _model_row(force: float, rigidity: float, a: float, half_span: float, reacti
 
 
 def _cmd_model(args) -> int:
-    row = _model_row(*_load_config(args.config).solve())
+    row = _model_row(*scanner.solve_scanner(*_load_config(args.config)))
     print(
         f"phi_deg={row[0]} y_max_um={row[1]} x_at_ymax_um={row[2]} "
         f"F_uN={row[3]} R_A_uN={row[4]} rigidity_Nm2={row[5]}"
@@ -112,7 +112,7 @@ def _cmd_profile(args) -> int:
     config = _load_config(args.config)
     if not 2 <= args.samples <= MAX_SAMPLES:
         raise ConfigError(f"--samples must be in [2, {MAX_SAMPLES}]")
-    solution = config.solve()
+    solution = scanner.solve_scanner(*config)
     _model_row(*solution)  # every |y| is at most y_max: this bounds the rows in CSV units too
     force, rigidity, a, half_span = solution[:4]
     points = scanner.profile_points(args.samples, force, a, half_span, rigidity)

@@ -12,11 +12,12 @@ equivalent rigidity.
 floats of its fields: `model`, `profile`, the sweeps, the optimizer,
 `table1` and `verify`'s oracle checks all solve through it. The statics
 split into a geometry part, the factors that depend on (a, span) alone,
-and a load part that scales them (see :func:`statics`). :func:`solve_scanner`
-keeps the last rigidity, keyed on the five stack fields :func:`section`
-reads, and the last geometry factors, keyed on (a, span). The keys are
-checked positive floats, so equal keys are equal bits: a hit returns the
-bits a miss computes.
+and a load part that scales them, the one place that computes the
+reaction, tilt and y_max (see :func:`statics`). :func:`solve_scanner` keeps
+the last rigidity, keyed on the five stack fields :func:`section` reads,
+and the last geometry factors, keyed on (a, span). The keys are checked
+positive floats, so equal keys are equal bits: a hit returns the bits a
+miss computes.
 :func:`check_mirror` is the model's one check of the half-beam geometry,
 and :class:`piezoscanner.oracle.BeamProblem` the oracle's. The closed forms
 assume 0 < a < span and rigidity > 0. A stack's rigidity is positive
@@ -84,11 +85,6 @@ def _geometry(a: float, span: float) -> tuple[float, float, float, float, float]
     return ratio, l3, q, y_factor, x_star
 
 
-def reaction(force: float, a: float, span: float) -> float:
-    """Redundant reaction at the mirror-center support, -force times a ratio in (0, 1]."""
-    return -force * _geometry(a, span)[0]
-
-
 # With L = span - a, the mirror segment is y = slope * x and the beam branch
 # is the cubic force a (x - span)^2 ((a + span) x - 2 a^2) / den, double-rooted
 # at the clamp, den = 4 rigidity (a^2 + a span + span^2). In the mirror's
@@ -121,7 +117,7 @@ def _load(force: float, a: float, rigidity: float, geometry) -> tuple[float, flo
         slope = force * a * l3 / (4 * rigidity * q)
     except ZeroDivisionError as exc:
         raise OutOfRangeError("half-beam statics", exc) from exc
-    r_a = -force * ratio
+    r_a = 0.0 - force * ratio  # -(force ratio), and +0.0 at zero force
     tilt_signed = math.atan(slope)
     y_max = abs(slope) * y_factor
     x_at = x_star if force else a
@@ -148,8 +144,10 @@ def statics(force: float, a: float, span: float, rigidity: float) -> tuple[float
     The geometry part, :func:`_geometry`, computes the factors that depend on
     (a, span) alone: the reaction ratio, L^3, q = a^2 + a span + span^2,
     y_factor = (4/27) (span + 2a) ((span + 2a) / (a + span))^2 and x*. The
-    load part, :func:`_load`, scales them: reaction = -force ratio, slope =
-    force a L^3 / (4 rigidity q), tilt = atan(slope), y_max = |slope| y_factor.
+    load part, :func:`_load`, scales them: the mirror-center support's
+    reaction = 0 - force ratio, with ratio in (0, 1] and a zero reaction
+    +0.0, slope = force a L^3 / (4 rigidity q), tilt = atan(slope) and
+    y_max = |slope| y_factor.
     Each value takes one expression's operations in order, and the geometry
     part raises first, as a single pass would. :func:`solve_scanner` reuses
     the last factors and rigidity while their keys, (a, span) and section's

@@ -31,11 +31,6 @@ class ScanConfig(namedtuple("ScanConfig", ("substrate_E", "piezo_E", "d31", "sub
         )
         return ScannerGeometry(stack=stack, mirror_side=self.mirror_side)
 
-    def solve(self) -> tuple[float, float, float, float, float, float, float, float]:
-        """(force, rigidity, a, half_span, reaction, tilt_signed, y_max, x_at_ymax); see
-        :func:`~piezoscanner.scanner.solve_scanner`."""
-        return solve_scanner(*self)
-
 
 def reference_config() -> ScanConfig:
     """Scanner A: built-in materials, 5/1 um layers, 30 um wide 850 um beams,
@@ -84,15 +79,15 @@ class SweepSpec(namedtuple("SweepSpec", ("base", "axis", "start", "stop", "steps
         return super().__new__(cls, base, axis, start, stop, steps)
 
     def grid(self):
-        """The parameter values in ascending order, start and stop included."""
+        """The parameter values in ascending order, start and stop included, as floats."""
         step = (self.stop - self.start) / (self.steps - 1)
         for i in range(self.steps - 1):
             yield self.start + i * step
-        yield self.stop
+        yield float(self.stop)
 
 
 class SweepRecord(namedtuple("SweepRecord", ("param_value", "tilt_deg", "y_max_m", "force_N",
-                                             "reaction_N", "status"), defaults=("ok",))):
+                                             "reaction_N", "status"))):
     """One sweep point. status is 'ok' or the error text of a failed point."""
 
     __slots__ = ()

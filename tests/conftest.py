@@ -5,7 +5,7 @@ from hypothesis import Phase, settings
 from hypothesis import strategies as st
 
 from piezoscanner.multimorph import MultimorphStack
-from piezoscanner.scanner import profile_points
+from piezoscanner.scanner import profile_points, solve_scanner
 from piezoscanner.sweep import ScanConfig
 from piezoscanner.verification import branches
 
@@ -46,7 +46,7 @@ def design(stack: MultimorphStack, mirror_side: float, voltage: float) -> ScanCo
 
 def sampled(config: ScanConfig, samples: int):
     """The scalar solution and the sampled full-device profile of one design."""
-    sol = Solution(*config.solve())
+    sol = Solution(*solve_scanner(*config))
     points = profile_points(samples, sol.force, sol.a, sol.half_span, sol.rigidity)
     return sol, list(points)
 

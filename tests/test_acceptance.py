@@ -1,6 +1,7 @@
 """Acceptance suite: one test per release criterion, with a pass/fail line
 printed for each (run with -s or check the captured output)."""
 
+import math
 import time
 
 import pytest
@@ -32,6 +33,18 @@ def test_criterion_1_table1_reproduction():
     ok &= abs(records[0].y_max_m - 2.29e-6) / 2.29e-6 <= 3e-3
     ok &= elapsed < 1.0
     _report("1 Table-1 reproduction (15%, <1s)", ok)
+
+
+def test_criterion_1_table1_shape():
+    """The six paper/model ratios of Table 1 share one factor k to 1.5%, so the model
+    keeps the paper's trend in beam length, not only its level. At Scanner A's constants
+    k is 1.066 and the worst ratio is 1.01% from it."""
+    records = sweep.table1()
+    ratios = [paper / rec.tilt_deg for rec, paper in zip(records, EXPECTED_TILT_DEG)]
+    ratios += [paper / (rec.y_max_m * 1e6) for rec, paper in zip(records, EXPECTED_YMAX_UM)]
+    k = math.sqrt(min(ratios) * max(ratios))  # the factor with the smallest worst misfit
+    worst = max(abs(ratio / k - 1) for ratio in ratios)
+    _report(f"1 Table-1 shape (one factor {k:.3f}, worst {worst:.2%} <= 1.5%)", worst <= 0.015)
 
 
 @pytest.fixture(scope="module")

@@ -13,7 +13,7 @@ import pytest
 import piezoscanner
 from piezoscanner.cli import MAX_SAMPLES, MAX_STEPS, _fmt, _joined, _write_atomic, run
 from piezoscanner.config import ConfigError, parse_config
-from piezoscanner.scanner import profile_points
+from piezoscanner.scanner import profile_points, solve_scanner
 from piezoscanner.sweep import reference_config
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -141,6 +141,28 @@ class TestModelCommand:
         assert expected in stdout
         assert "nan" not in stdout and "inf" not in stdout
 
+    @pytest.mark.parametrize("edit, sweep", [
+        (("voltage_V = 50", "voltage_V = -0"), ["beam_length", "--from=500e-6", "--to=850e-6"]),
+        (("[material.piezo]\nname = pzt-5h",
+          "[material.piezo]\nE_GPa = 60.6\nd31_pm_per_V = 0\ns11E_per_TPa = 16.5016502"),
+         ["voltage", "--from=-1", "--to=1"]),
+    ], ids=["voltage-minus-0", "d31-0"])
+    def test_zero_drive_writes_no_negative_zero(self, tmp_path, capsys, edit, sweep):
+        """At zero drive the reaction is 0, never -0, in model's summary and CSV and in
+        every row of a 3-point sweep."""
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(SCANNER_A_CFG.replace(*edit))
+        model_csv = tmp_path / "m.csv"
+        assert run(["model", "--config", str(cfg), "--out", str(model_csv)]) == 0
+        assert capsys.readouterr().out == (
+            "phi_deg=0 y_max_um=0 x_at_ymax_um=150 F_uN=0 R_A_uN=0 rigidity_Nm2=9.29782829e-11\n")
+        assert model_csv.read_text().splitlines()[1] == "0,0,150,0,0,9.29782829e-11"
+        sweep_csv = tmp_path / "s.csv"
+        assert run(["sweep", "--config", str(cfg), "--axis", *sweep, "--steps", "3",
+                    "--out", str(sweep_csv)]) == 0
+        assert [line.split(",")[2:] for line in sweep_csv.read_text().splitlines()[1:]] == [
+            ["0", "0", "0", "0", "ok"]] * 3
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert run(["model", "--config", str(tmp_path / "nope.cfg")]) == 1
         assert capsys.readouterr().err.startswith("config:")
@@ -232,7 +254,7 @@ class TestProfileCommand:
         out = tmp_path / "p.csv"
         assert run(["profile", "--config", config_path, "--samples", str(samples),
                     "--out", str(out)]) == 0
-        force, rigidity, a, half_span = parse_config(SCANNER_A_CFG).solve()[:4]
+        force, rigidity, a, half_span = solve_scanner(*parse_config(SCANNER_A_CFG))[:4]
         points = profile_points(samples, force, a, half_span, rigidity)
         assert out.read_text() == "x_um,y_um\n" + "".join(
             "%.9g,%.9g\n" % (u * 1e6, y * 1e6) for u, y in points)

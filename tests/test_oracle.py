@@ -70,7 +70,7 @@ class TestSolveFd:
 
     def test_scanner_a_reaction(self):
         solution = solve_fd(problem_a())
-        expected = scanner.reaction(FORCE, solution.a_snapped, SPAN)
+        expected = scanner.statics(FORCE, solution.a_snapped, SPAN, RIGIDITY)[0]
         assert solution.reaction == pytest.approx(expected, rel=5e-3)
 
     def test_scanner_a_profile(self):

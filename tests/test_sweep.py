@@ -47,6 +47,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="^steps must be >= 2$"):
             beam_length_spec()._replace(steps=1)
 
+    def test_grid_yields_floats(self):
+        """An int stop reaches the solves as a float, so no sweep point or optimum is an int."""
+        spec = SweepSpec(base=reference_config(), axis="voltage", start=0, stop=50, steps=3)
+        assert [(type(v), v) for v in spec.grid()] == [(float, 0.0), (float, 25.0), (float, 50.0)]
+        assert all(type(rec.param_value) is float for rec in run_sweep(spec))
+        assert type(optimize_1d(spec)[0]) is float
+
 
 class TestRunSweep:
     def test_ascending_order_inclusive_endpoints(self):
