@@ -43,19 +43,23 @@ def _write_atomic(path: str, header: str, pieces) -> None:
     """Write the header line, then the string pieces as they arrive, to a new temp file
     beside path; rename it over path only once the last piece is written. Memory holds one
     piece at a time: callers that stream rows join them 1,024 to a piece. The file gets
-    the mode a plain open() would give it, 0o666 less the umask, which the kernel applies."""
+    the mode a plain open() would give it, 0o666 less the umask, which the kernel applies.
+    An OSError raises ConfigError, which names path, not the temp file."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}.csv")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(header + "\n")
-            for piece in pieces:
-                handle.write(piece)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w", newline="") as handle:
+                handle.write(header + "\n")
+                for piece in pieces:
+                    handle.write(piece)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _joined(lines):
@@ -99,12 +103,12 @@ def _model_row(force: float, rigidity: float, a: float, half_span: float, reacti
 
 def _cmd_model(args) -> int:
     row = _model_row(*scanner.solve_scanner(*_load_config(args.config)))
+    _write_atomic(args.out, "phi_deg,y_max_um,x_at_ymax_um,F_uN,R_A_uN,rigidity_Nm2",
+                  [",".join(row) + "\n"])
     print(
         f"phi_deg={row[0]} y_max_um={row[1]} x_at_ymax_um={row[2]} "
         f"F_uN={row[3]} R_A_uN={row[4]} rigidity_Nm2={row[5]}"
     )
-    _write_atomic(args.out, "phi_deg,y_max_um,x_at_ymax_um,F_uN,R_A_uN,rigidity_Nm2",
-                  [",".join(row) + "\n"])
     return EXIT_OK
 
 
@@ -141,6 +145,8 @@ _SWEEP_HEADER = "param_name,param_value_si,phi_deg,y_max_um,F_uN,R_A_uN,status"
 
 def _cmd_sweep(args) -> int:
     config = _load_config(args.config)
+    if not 2 <= args.steps <= MAX_STEPS:
+        raise ConfigError(f"--steps must be in [2, {MAX_STEPS}]")
     try:
         spec = sweep_mod.SweepSpec(
             base=config, axis=args.axis,
@@ -148,8 +154,6 @@ def _cmd_sweep(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if spec.steps > MAX_STEPS:
-        raise ConfigError(f"--steps must be in [2, {MAX_STEPS}]")
     failed = 0
 
     def rows():
@@ -179,9 +183,7 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.nodes < 11 or args.nodes % 2 == 0:
-        raise ConfigError("--nodes must be odd and >= 11")
-    if args.nodes > MAX_SAMPLES:
+    if not (11 <= args.nodes <= MAX_SAMPLES and args.nodes % 2):
         raise ConfigError(f"--nodes must be odd and in [11, {MAX_SAMPLES}]")
     try:
         from . import verification  # numpy loads only for verify

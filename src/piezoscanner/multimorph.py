@@ -6,8 +6,7 @@ stack and the end force on the mirror, (3/2) W t_p E_p d31 V / L, accurate
 to a few ulp for every stack. The 4x4 layer system it derives from is a
 check in :mod:`piezoscanner.verification` that no model path calls; that
 system cancels as the piezo layer thins (condition number 6.4e5 at 1 um),
-so it checks physical stacks only: moduli 10-500 GPa, layers 0.2-20 um
-thick, |d31| up to 500 pm/V, widths 5-200 um and lengths 100-2000 um.
+so it checks physical designs only (see that module).
 """
 
 from __future__ import annotations
@@ -28,9 +27,9 @@ class MultimorphStack(namedtuple("MultimorphStack", ("substrate_E", "substrate_t
     """Geometry and constants of the substrate + 2 piezo layer stack.
 
     Both piezoelectric layers share ``piezo_t`` and ``piezo_E``. All values
-    are SI: Pa, m, m/V. No model path builds one: perfbench and the tests
-    bind it, and every construction, ``_replace`` included, runs
-    :func:`check_stack` as the model does.
+    are SI: Pa, m, m/V. No model path builds one: perfbench's oracle op
+    binds it, and one test class checks it. Every construction, ``_replace``
+    included, runs :func:`check_stack` as the model does.
     """
 
     __slots__ = ()
@@ -59,14 +58,8 @@ def check_stack(substrate_E: float, substrate_t: float, piezo_E: float, piezo_t:
 
 
 class EquivalentSection(namedtuple("EquivalentSection", ("h_eq", "i_eq", "e_ref", "rigidity"))):
-    """Homogenized cross-section of the stack.
-
-    h_eq is the neutral-axis height above the substrate bottom, i_eq the
-    transformed-section moment of inertia for the normalizing modulus
-    e_ref, and rigidity the flexural rigidity e_ref * i_eq. The rigidity is
-    independent of which layer modulus normalizes the widths. No model path
-    builds one; perfbench and the tests read it.
-    """
+    """The values of :func:`section` by name. No model path builds one; perfbench's
+    oracle op reads it."""
 
     __slots__ = ()
 
@@ -76,14 +69,16 @@ _E_REF_CHOICES = ("substrate", "piezo", "max")
 
 def section(substrate_E: float, substrate_t: float, piezo_E: float, piezo_t: float,
             width: float, e_ref_choice: str = "max") -> tuple[float, float, float, float]:
-    """(h_eq, i_eq, e_ref, rigidity) of the homogenized stack; see :class:`EquivalentSection`.
+    """(h_eq, i_eq, e_ref, rigidity) of the homogenized cross-section of the stack.
 
-    Layer widths are normalized by e_ref. The neutral axis is the
-    stiffness-weighted barycenter of the layer mid-heights; the inertia is
-    the transformed-section sum of the parallel-axis contributions. Which
-    modulus normalizes is immaterial for the rigidity e_ref * i_eq. The
-    three layers are summed left to right, substrate first, so the result
-    does not depend on how the interpreter's sum() rounds.
+    h_eq is the neutral-axis height above the substrate bottom, i_eq the
+    transformed-section moment of inertia for the normalizing modulus e_ref,
+    and rigidity the flexural rigidity e_ref * i_eq. Layer widths are
+    normalized by e_ref. The neutral axis is the stiffness-weighted barycenter
+    of the layer mid-heights; the inertia is the transformed-section sum of the
+    parallel-axis contributions. Which modulus normalizes is immaterial for the
+    rigidity. The three layers are summed left to right, substrate first, so
+    the result does not depend on how the interpreter's sum() rounds.
     """
     if e_ref_choice not in _E_REF_CHOICES:
         raise ValueError(f"e_ref_choice must be one of {_E_REF_CHOICES}")
@@ -111,28 +106,23 @@ def section(substrate_E: float, substrate_t: float, piezo_E: float, piezo_t: flo
     return h_eq, i_eq, e_ref, e_ref * i_eq
 
 
-def equivalent_section(stack: MultimorphStack, e_ref_choice: str = "max") -> EquivalentSection:
-    """Homogenize the stack by normalizing layer widths with e_ref (:func:`section`).
-
-    No model path calls this; perfbench and the tests do.
-    """
+def equivalent_section(stack: MultimorphStack) -> EquivalentSection:
+    """The stack's :func:`section`. No model path calls this; perfbench's oracle op does."""
     return EquivalentSection(*section(stack.substrate_E, stack.substrate_t, stack.piezo_E,
-                                      stack.piezo_t, stack.width, e_ref_choice))
+                                      stack.piezo_t, stack.width))
 
 
 def end_force(width: float, piezo_t: float, piezo_E: float, d31: float, voltage: float,
               length: float) -> float:
-    """(3/2) W t_p E_p d31 V / L; see :func:`equivalent_force`."""
-    return 1.5 * width * piezo_t * piezo_E * d31 * voltage / length
-
-
-def equivalent_force(stack: MultimorphStack, voltage: float) -> float:
     """End force on the mirror that reproduces the free tip deflection.
 
     F = 3 * rigidity / L^3 * y_tip, which reduces to (3/2) W t_p E_p d31 V / L.
     Signed: follows the sign of d31 * V. Float products never raise: an
-    overflow gives +-inf, which `scanner.statics` rejects as non-finite. No
-    model path calls this (the model calls :func:`end_force`); perfbench and
-    the tests do.
+    overflow gives +-inf, which `scanner.statics` rejects as non-finite.
     """
+    return 1.5 * width * piezo_t * piezo_E * d31 * voltage / length
+
+
+def equivalent_force(stack: MultimorphStack, voltage: float) -> float:
+    """The stack's :func:`end_force`. No model path calls this; perfbench's oracle op does."""
     return end_force(stack.width, stack.piezo_t, stack.piezo_E, stack.d31, voltage, stack.length)

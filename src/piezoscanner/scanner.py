@@ -36,8 +36,9 @@ class ScannerGeometry(namedtuple("ScannerGeometry", ("stack", "mirror_side"))):
     """Mirror plus multimorph half-device geometry.
 
     a is the support-to-junction distance (half the mirror side);
-    half_span = a + beam length. No model path builds one: perfbench and the
-    tests bind it, and every construction runs :func:`check_mirror` as the model does.
+    half_span = a + beam length. No model path builds one: perfbench's oracle
+    op binds it, and one test class checks it. Every construction runs
+    :func:`check_mirror` as the model does.
     """
 
     __slots__ = ()

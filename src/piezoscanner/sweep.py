@@ -19,7 +19,7 @@ class ScanConfig(namedtuple("ScanConfig", ("substrate_E", "piezo_E", "d31", "sub
 
     def geometry(self) -> ScannerGeometry:
         """The design as the stack and mirror carriers. No model path calls this:
-        perfbench and the tests bind it."""
+        perfbench's oracle op binds it."""
         stack = MultimorphStack(
             substrate_E=self.substrate_E,
             substrate_t=self.substrate_t,

@@ -6,8 +6,8 @@ import time
 
 import pytest
 
-from piezoscanner import multimorph, sweep, verification
-from piezoscanner.multimorph import MultimorphStack
+from piezoscanner import sweep, verification
+from piezoscanner.multimorph import section
 
 from conftest import sampled
 
@@ -101,14 +101,11 @@ def test_criterion_6_trivial_cases():
 
 
 def test_criterion_7_homogeneous_limit():
-    stack = MultimorphStack(
-        substrate_E=169e9, substrate_t=5e-6, piezo_E=60.6e9, piezo_t=1e-30,
-        d31=-274e-12, width=30e-6, length=850e-6,
-    )
-    sec = multimorph.equivalent_section(stack, "substrate")
-    ok = abs(sec.h_eq - stack.substrate_t / 2) <= 1e-12 * stack.substrate_t
-    expected = stack.width * stack.substrate_t**3 / 12
-    ok &= abs(sec.i_eq - expected) <= 1e-12 * expected
+    substrate_t, width = 5e-6, 30e-6
+    h_eq, i_eq, _, _ = section(169e9, substrate_t, 60.6e9, 1e-30, width, "substrate")
+    ok = abs(h_eq - substrate_t / 2) <= 1e-12 * substrate_t
+    expected = width * substrate_t**3 / 12
+    ok &= abs(i_eq - expected) <= 1e-12 * expected
     _report("7 homogeneous limit (h_eq = t_s/2, I = W t_s^3/12)", ok)
 
 

@@ -157,6 +157,8 @@ class TestModelCommand:
         assert capsys.readouterr().out == (
             "phi_deg=0 y_max_um=0 x_at_ymax_um=150 F_uN=0 R_A_uN=0 rigidity_Nm2=9.29782829e-11\n")
         assert model_csv.read_text().splitlines()[1] == "0,0,150,0,0,9.29782829e-11"
+        assert hashlib.sha256(model_csv.read_bytes()).hexdigest() == (
+            "a01e474866fba21351af304a238fe6249a7965762b7843eafd4be3b1877cb390")
         sweep_csv = tmp_path / "s.csv"
         assert run(["sweep", "--config", str(cfg), "--axis", *sweep, "--steps", "3",
                     "--out", str(sweep_csv)]) == 0
@@ -391,11 +393,13 @@ class TestSweepCommand:
         assert not out.exists()
 
     def test_steps_bounded(self, config_path, tmp_path, capsys):
+        """Both ends of the range give the one message."""
         out = tmp_path / "s.csv"
-        assert run(["sweep", "--config", config_path, "--axis", "voltage", "--from=0",
-                    "--to=50", "--steps", str(MAX_STEPS + 1), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"config: --steps must be in [2, {MAX_STEPS}]\n"
-        assert not out.exists()
+        for steps in (1, MAX_STEPS + 1):
+            assert run(["sweep", "--config", config_path, "--axis", "voltage", "--from=0",
+                        "--to=50", "--steps", str(steps), "--out", str(out)]) == 1
+            assert capsys.readouterr().err == f"config: --steps must be in [2, {MAX_STEPS}]\n"
+            assert not out.exists()
 
     def test_failed_points_flagged(self, config_path, tmp_path, capsys):
         out = str(tmp_path / "s.csv")
@@ -435,10 +439,12 @@ class TestVerifyCommand:
         assert capsys.readouterr().err.startswith("config:")
 
     def test_nodes_bounded(self, capsys):
-        assert run(["verify", "--nodes", str(MAX_SAMPLES + 2)]) == 1
-        captured = capsys.readouterr()
-        assert captured.err == f"config: --nodes must be odd and in [11, {MAX_SAMPLES}]\n"
-        assert captured.out == ""
+        """Both ends of the range, and even counts inside it, give the one message."""
+        for nodes in (9, 12, MAX_SAMPLES + 1, MAX_SAMPLES + 2):
+            assert run(["verify", "--nodes", str(nodes)]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == f"config: --nodes must be odd and in [11, {MAX_SAMPLES}]\n"
+            assert captured.out == ""
 
     def test_without_numpy_one_config_line(self):
         """Where numpy cannot be imported, verify exits 1 with one line, not a traceback."""
@@ -596,6 +602,28 @@ class TestAtomicWrites:
             _write_atomic(str(out), "x_um,y_um", _joined(rows()))
         assert out.read_bytes() == b"earlier output\n"
         assert os.listdir(tmp_path) == ["p.csv"]
+
+    @pytest.mark.parametrize("target", ["missing-dir", "dir"])
+    @pytest.mark.parametrize("argv", [
+        ["model", "--config", "{config}"],
+        ["profile", "--config", "{config}"],
+        ["sweep", "--config", "{config}", "--axis", "voltage", "--from=0", "--to=50",
+         "--steps", "3"],
+        ["table1"],
+    ], ids=["model", "profile", "sweep", "table1"])
+    def test_unwritable_out_names_the_path(self, config_path, tmp_path, capsys, argv, target):
+        """An --out in a missing directory, or that is a directory, exits 1 with one line
+        that names --out, not the temp file, before anything is printed."""
+        out = tmp_path / "missing" / "out.csv" if target == "missing-dir" else tmp_path / "out"
+        if target == "dir":
+            out.mkdir()
+        assert run([arg.format(config=config_path) for arg in argv] + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config: cannot write {out}: ")
+        assert ".tmp-" not in captured.err and captured.err.count("\n") == 1
+        assert not [f for f in os.listdir(tmp_path) if f.startswith(".tmp-")]
+        assert target == "missing-dir" or os.listdir(out) == []
 
     @pytest.mark.parametrize("umask, mode",[(0o022, 0o644), (0o077, 0o600)])
     def test_mode_follows_umask(self, config_path, tmp_path, umask, mode):

@@ -14,17 +14,15 @@ from piezoscanner.multimorph import (
     _E_REF_CHOICES, OutOfRangeError, check_stack, end_force, section,
 )
 from piezoscanner.scanner import (
-    ScannerGeometry, _beam, _slope, check_mirror, profile_points, solve_scanner, statics,
+    _beam, _slope, check_mirror, profile_points, solve_scanner, statics,
 )
 from piezoscanner import sweep
-from piezoscanner.sweep import AXES, ScanConfig, SweepSpec, optimize_1d
+from piezoscanner.sweep import AXES, ScanConfig, SweepSpec, optimize_1d, reference_config
 from piezoscanner.verification import branches
 
-from conftest import (
-    REFERENCE_STACK, Solution, design, drive_voltages, half, physical_stacks, sampled,
-)
+from conftest import Solution, drive_voltages, half, physical_designs, sampled
 
-# Scanner A: reference stack, 300 um mirror, 50 V. Frozen values computed by
+# Scanner A: reference_config(), a 300 um mirror at 50 V. Frozen values computed by
 # evaluating the reaction/tilt/extremum formulas independently (quadratic
 # root by hand) and cross-checked by the finite-difference solver.
 A = 150e-6
@@ -38,7 +36,7 @@ REF_REACTION = 3.4253213219616204e-05
 
 
 def scanner_a(voltage: float):
-    return design(REFERENCE_STACK, 300e-6, voltage)
+    return reference_config()._replace(voltage=voltage)
 
 
 # (force, a, span, rigidity) quadruples within physical bounds
@@ -210,34 +208,30 @@ class TestSolveScanner:
 
     @pytest.mark.parametrize("mirror_side", [0.0, math.nan, 5e-324])
     def test_invalid_mirror_side_rejected(self, mirror_side):
+        """check_mirror rejects the mirror, and the solve raises its error."""
         # 5e-324 m is a valid length, but it halves to a = 0.
         error = OutOfRangeError if mirror_side > 0 else ValueError
-        with pytest.raises(error) as built:
-            ScannerGeometry(stack=REFERENCE_STACK, mirror_side=mirror_side)
-        geometry = ScannerGeometry(stack=REFERENCE_STACK, mirror_side=300e-6)
-        with pytest.raises(error, match=re.escape(str(built.value))):
-            geometry._replace(mirror_side=mirror_side)
+        with pytest.raises(error) as checked:
+            check_mirror(mirror_side, 850e-6)
+        with pytest.raises(error, match=f"^{re.escape(str(checked.value))}$"):
+            solve_scanner(*scanner_a(50.0)._replace(mirror_side=mirror_side))
 
     @pytest.mark.parametrize("samples", [401, 3201])
     def test_center_exact_where_grid_rounds_past_span(self, samples):
-        short_beam = REFERENCE_STACK._replace(length=169e-6)
-        sol, profile = sampled(design(short_beam, 300e-6, 50.0), samples)
+        sol, profile = sampled(scanner_a(50.0)._replace(beam_length=169e-6), samples)
         span, last = sol.half_span, samples - 1
         assert 2 * span * (last // 2) / last > span  # the uniform grid overshoots the center
         assert profile[last // 2] == (span, 0.0)
         for (_, y1), (_, y2) in zip(profile, reversed(profile)):
             assert y1 == -y2
 
-    @given(
-        stack=physical_stacks(d31_nonzero=True),
-        mirror_side=st.floats(min_value=50e-6, max_value=1000e-6),
-        voltage=drive_voltages().filter(lambda v: v != 0.0),
-    )
-    def test_physical_design_finite_and_signed(self, stack, mirror_side, voltage):
-        sol, profile = sampled(design(stack, mirror_side, voltage), 41)
+    @given(design=physical_designs(d31_nonzero=True,
+                                   voltages=drive_voltages().filter(lambda v: v != 0.0)))
+    def test_physical_design_finite_and_signed(self, design):
+        sol, profile = sampled(design, 41)
         values = [sol.force, sol.rigidity, sol.reaction, sol.tilt_signed, sol.y_max]
         assert all(map(math.isfinite, values + [y for _, y in profile]))
-        sign = math.copysign(1.0, stack.d31 * voltage)
+        sign = math.copysign(1.0, design.d31 * design.voltage)
         assert math.copysign(1.0, sol.force) == sign and sol.force != 0.0
         assert math.copysign(1.0, sol.tilt_signed) == sign and sol.tilt_signed != 0.0
         assert math.copysign(1.0, sol.reaction) == -sign and sol.reaction != 0.0

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from piezoscanner.multimorph import equivalent_force, equivalent_section
-from piezoscanner.scanner import statics
+from piezoscanner.scanner import solve_scanner
 from piezoscanner.sweep import (
     AXES,
     ScanConfig,
@@ -16,7 +15,7 @@ from piezoscanner.sweep import (
     table1,
 )
 
-from conftest import drive_voltages, physical_stacks
+from conftest import physical_designs
 
 # Paper-reported tilt/deflection for the three reference designs at 50 V.
 TABLE1_EXPECTED = {
@@ -98,16 +97,45 @@ EXTREMES = st.sampled_from([0.0, -0.0, -1e-6, -1e300, 1e100, 1e200, 1e300, 1.7e3
                             1e-320, 5e-324])
 
 
+def closed_forms(substrate_E, piezo_E, d31, substrate_t, piezo_t, beam_width, beam_length,
+                 mirror_side, voltage):
+    """(tilt in degrees, y_max, force, reaction) of a design: the end force
+    (3/2) W t_p E_p d31 V / L, the homogenized section's rigidity, and the propped
+    half beam's reaction, mirror slope and peak, evaluated in the model's order of
+    operations. None where a length or modulus is not > 0, the half mirror a rounds
+    to 0 or to the half span, or a value overflows or divides by zero."""
+    a = mirror_side / 2
+    span = a + beam_length
+    lengths_and_moduli = (substrate_E, piezo_E, substrate_t, piezo_t, beam_width, beam_length, a)
+    if not (all(value > 0 for value in lengths_and_moduli) and a < span):
+        return None
+    force = 1.5 * beam_width * piezo_t * piezo_E * d31 * voltage / beam_length
+    e_ref = max(substrate_E, piezo_E)
+    ts, tp = substrate_t, piezo_t
+    hs, h1, h2 = ts / 2, ts + tp / 2, ts + 1.5 * tp
+    try:
+        r_s, r_p = substrate_E / e_ref, piezo_E / e_ref
+        h_eq = (r_s * ts * hs + r_p * tp * h1 + r_p * tp * h2) / (r_s * ts + r_p * tp + r_p * tp)
+        rigidity = e_ref * (beam_width * (r_s * (ts**3 / 12 + ts * (h_eq - hs) ** 2)
+                                          + r_p * (tp**3 / 12 + tp * (h_eq - h1) ** 2)
+                                          + r_p * (tp**3 / 12 + tp * (h_eq - h2) ** 2)))
+        q = a**2 + a * span + span**2
+        slope = force * a * (span - a) ** 3 / (4 * rigidity * q)
+        reaction = 0.0 - force * ((span - a) * (2 * span + a) / (2 * q))
+        ratio = (span + 2 * a) / (a + span)
+        y_max = abs(slope) * (4 / 27 * (span + 2 * a) * ratio * ratio)
+    except ArithmeticError:
+        return None
+    tilt_signed = math.atan(slope)
+    if not all(map(math.isfinite, (force, rigidity, reaction, tilt_signed, y_max))):
+        return None
+    return math.degrees(abs(tilt_signed)), y_max, force, reaction
+
+
 @st.composite
 def sweep_bases(draw):
     """A physical design, possibly with one field set to an extreme value."""
-    stack = draw(physical_stacks())
-    config = ScanConfig(
-        substrate_E=stack.substrate_E, piezo_E=stack.piezo_E, d31=stack.d31,
-        substrate_t=stack.substrate_t, piezo_t=stack.piezo_t, beam_width=stack.width,
-        beam_length=stack.length, mirror_side=draw(st.floats(min_value=50e-6, max_value=1000e-6)),
-        voltage=draw(drive_voltages()),
-    )
+    config = draw(physical_designs())
     if draw(st.booleans()):
         field = draw(st.sampled_from(list(ScanConfig._fields)))
         config = config._replace(**{field: draw(EXTREMES)})
@@ -118,23 +146,20 @@ def sweep_bases(draw):
        ends=st.lists(st.one_of(EXTREMES, st.floats(min_value=1e-7, max_value=1e-3)),
                      min_size=2, max_size=2, unique=True))
 def test_sweep_point_is_model_path(base, axis, ends):
-    """Each record holds the carrier path's floats bit for bit, or its error text."""
+    """Each record holds the bits of the closed forms evaluated from its design's fields,
+    or, where they leave the model's domain, the error text of the design's solve."""
     start, stop = sorted(ends)
     assume(math.isfinite(stop - start))
     for rec in run_sweep(SweepSpec(base=base, axis=axis, start=start, stop=stop, steps=3)):
         design = base._replace(**{AXES[axis]: rec.param_value})
-        try:
-            geometry = design.geometry()
-            force = equivalent_force(geometry.stack, design.voltage)
-            rigidity = equivalent_section(geometry.stack).rigidity
-            reaction, tilt_signed, y_max, _ = statics(force, geometry.a, geometry.half_span,
-                                                      rigidity)
-        except ValueError as exc:
-            assert rec.status == str(exc)
+        expected = closed_forms(*design)
+        if expected is None:
+            with pytest.raises(ValueError) as raised:
+                solve_scanner(*design)
+            assert rec.status == str(raised.value)
             assert all(map(math.isnan, (rec.tilt_deg, rec.y_max_m, rec.force_N, rec.reaction_N)))
             continue
         assert rec.status == "ok"
-        expected = (math.degrees(abs(tilt_signed)), y_max, force, reaction)
         got = (rec.tilt_deg, rec.y_max_m, rec.force_N, rec.reaction_N)
         assert [v.hex() for v in got] == [v.hex() for v in expected]
 
