@@ -147,13 +147,15 @@ def _cmd_sweep(args) -> int:
     config = _load_config(args.config)
     if not 2 <= args.steps <= MAX_STEPS:
         raise ConfigError(f"--steps must be in [2, {MAX_STEPS}]")
-    try:
-        spec = sweep_mod.SweepSpec(
-            base=config, axis=args.axis,
-            start=getattr(args, "from"), stop=args.to, steps=args.steps,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    start, stop = getattr(args, "from"), args.to
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError("--from and --to must be finite")
+    if not start < stop:
+        raise ConfigError("--from must be less than --to")
+    if not math.isfinite(stop - start):
+        raise ConfigError("--to minus --from must be finite")
+    spec = sweep_mod.SweepSpec(base=config, axis=args.axis, start=start, stop=stop,
+                               steps=args.steps)
     failed = 0
 
     def rows():

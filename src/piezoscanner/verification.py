@@ -6,16 +6,24 @@ that every command makes. The layer force resultants and curvature of a
 design at its voltage solve a 4x4 system (in-plane and moment equilibrium,
 two interface continuity conditions). Its tip deflection gives the pipeline
 force 3 EI / L^3 * y_tip, which must equal the solved force to round-off.
-The profile checks read both half-profile branches as scanner evaluates them
-(:func:`branches`). No model path calls this module; the CLI loads it, and
-numpy with it, only for `verify`.
+A design of arrays solves all its 4x4 systems in one call, to the bits of
+solving each alone; `checks` draws its 1,000 designs so. The profile checks
+read both half-profile branches as scanner evaluates them (:func:`branches`).
+No model path calls this module; the CLI loads it, and numpy with it, only
+for `verify`.
 
-Domain: the designs of :func:`random_design` and the tests'
-`physical_designs` (moduli 10-500 GPa, layers 0.2-20 um thick, |d31| up to
-500 pm/V, widths 5-200 um, lengths 100-2000 um, mirrors 20-1000 um). The
-formulation cancels as the piezo layer thins: the condition number is 6.4e5
-at Scanner A's 1 um and 1.5e15 at 1e-14 um, where the pipeline force is off
-by up to 4.3%, and equilibrating rows and columns does not remove the error.
+Domain, as each check draws it. All three draw moduli of 10-500 GPa, layers
+0.2-20 um thick, widths of 5-200 um and lengths of 100-2000 um.
+:func:`random_design` draws mirrors of 20-1000 um, d31 of -10 to -500 pm/V
+and |V| of 1-100 V of either sign. The tests' `physical_designs` draws
+mirrors of 50-1000 um, d31 of 0 or 1-500 pm/V of either sign and V of 0 or
+0.01-200 V of either sign. `test_scanner.PHYSICAL_RANGES` draws mirrors of
+10-1000 um, d31 in +-500 pm/V and V in +-200 V.
+
+The formulation cancels as the piezo layer thins: the condition number is
+6.4e5 at Scanner A's 1 um and 1.5e15 at 1e-14 um, where the pipeline force is
+off by up to 4.3%, and equilibrating rows and columns does not remove the
+error.
 """
 
 from __future__ import annotations
@@ -39,58 +47,73 @@ def piezo_strains(design) -> tuple[float, float]:
 
 
 def _assemble_system(design):
-    """Build the 4x4 system in the unknowns (p1, p2, p3, kappa).
+    """Build the (..., 4, 4) system in the unknowns (p1, p2, p3, kappa) and its (..., 4, 1)
+    right-hand side, one per design when the fields are arrays.
 
     Rows: in-plane equilibrium, moment equilibrium about the substrate
     bottom, substrate/lower-piezo interface continuity, piezo/piezo
-    interface continuity.
+    interface continuity. Powers are products here and below, not ``**``: numpy's
+    array power and libm's pow differ in the last bit, and a batched solve must give
+    each design's bits.
     """
     es, ts, ep, tp = design.substrate_E, design.substrate_t, design.piezo_E, design.piezo_t
     s1, s2 = piezo_strains(design)
-
-    a = np.array(
-        [
-            [1.0, 1.0, 1.0, 0.0],
-            [ts / 2, ts + tp / 2, ts + 1.5 * tp, (es * ts**3 + 2 * ep * tp**3) / 12],
-            [1 / (es * ts), -1 / (ep * tp), 0.0, (ts + tp) / 2],
-            [0.0, 1 / (ep * tp), -1 / (ep * tp), tp],
-        ]
+    rows = (
+        (1.0, 1.0, 1.0, 0.0),
+        (ts / 2, ts + tp / 2, ts + 1.5 * tp, (es * (ts * ts * ts) + 2 * ep * (tp * tp * tp)) / 12),
+        (1 / (es * ts), -1 / (ep * tp), 0.0, (ts + tp) / 2),
+        (0.0, 1 / (ep * tp), -1 / (ep * tp), tp),
     )
-    b = np.array([0.0, 0.0, s1, s2 - s1])
+    shape = np.broadcast(es, ts, ep, tp, s1, s2).shape
+    a = np.empty(shape + (4, 4))
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            a[..., i, j] = entry
+    b = np.zeros(shape + (4, 1))
+    b[..., 2, 0] = s1
+    b[..., 3, 0] = s2 - s1
     return a, b
 
 
-def solve_curvature(design) -> tuple[float, float, float, float]:
+def solve_curvature(design):
     """(p1, p2, p3, kappa): the layer force resultants per unit width (N/m) and the
-    beam curvature (1/m)."""
+    beam curvature (1/m), floats for a design of floats and arrays for one of arrays.
+    All designs are solved in one call."""
     a, b = _assemble_system(design)
     try:
-        solution = np.linalg.solve(a, b)
+        solution = np.linalg.solve(a, b)[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"degenerate stack: {exc}") from exc
-    return tuple(map(float, solution))
+    return tuple(np.moveaxis(solution, -1, 0))
 
 
-def tip_deflection(design) -> float:
+def tip_deflection(design):
     """Free tip deflection of the cantilevered stack: kappa * L^2 / 2."""
-    return solve_curvature(design)[3] * design.beam_length**2 / 2
+    length = design.beam_length
+    return solve_curvature(design)[3] * (length * length) / 2
 
 
-def pipeline_force(design, rigidity: float) -> float:
+def pipeline_force(design, rigidity):
     """End force from the 4x4 pipeline at the design's rigidity: 3 * rigidity / L^3 * y_tip."""
-    return 3 * rigidity / design.beam_length**3 * tip_deflection(design)
+    length = design.beam_length
+    return 3 * rigidity / (length * length * length) * tip_deflection(design)
 
 
-def random_design(rng: np.random.Generator) -> sweep.ScanConfig:
-    """A design drawn uniformly from inside the physical domain above, with d31 < 0 and
-    a 1-100 V drive of either sign."""
-    return sweep.ScanConfig(
-        substrate_E=rng.uniform(10e9, 500e9), piezo_E=rng.uniform(10e9, 500e9),
-        d31=-rng.uniform(10e-12, 500e-12), substrate_t=rng.uniform(0.2e-6, 20e-6),
-        piezo_t=rng.uniform(0.2e-6, 20e-6), beam_width=rng.uniform(5e-6, 200e-6),
-        beam_length=rng.uniform(100e-6, 2000e-6), mirror_side=rng.uniform(20e-6, 1000e-6),
-        voltage=rng.uniform(1.0, 100.0) * float(rng.choice([-1.0, 1.0])),
-    )
+# The ranges of random_design's draws, in ScanConfig's field order: d31 and the voltage
+# as magnitudes.
+_DRAWN_RANGES = ((10e9, 500e9), (10e9, 500e9), (10e-12, 500e-12), (0.2e-6, 20e-6),
+                 (0.2e-6, 20e-6), (5e-6, 200e-6), (100e-6, 2000e-6), (20e-6, 1000e-6),
+                 (1.0, 100.0))
+
+
+def random_design(rng: np.random.Generator, size=None) -> sweep.ScanConfig:
+    """A design drawn uniformly from `_DRAWN_RANGES`, with d31 < 0 and a 1-100 V drive of
+    either sign: of floats, or of `size` designs as arrays, one draw call per field."""
+    e_s, e_p, d31, t_s, t_p, width, length, mirror, volts = (
+        rng.uniform(lo, hi, size) for lo, hi in _DRAWN_RANGES)
+    sign = rng.choice([-1.0, 1.0], size)
+    return sweep.ScanConfig(e_s, e_p, -d31, t_s, t_p, width, length, mirror,
+                            volts * (sign if size is not None else float(sign)))
 
 
 def branches(x: float, force: float, a: float, span: float,
@@ -145,13 +168,14 @@ def checks(nodes: int):
     target = -5 * force / 14
     yield "oracle_midspan_reaction", abs(fd_half.reaction - target) / abs(target), 5e-3
 
-    rng = np.random.default_rng(20260824)
-    worst_identity = worst_norm = worst_profile = 0.0
-    for i in range(1000):
-        design = random_design(rng)
+    drawn = random_design(np.random.default_rng(20260824), 1000)
+    forces, rigidities = [], []
+    worst_norm = worst_profile = 0.0
+    for i, fields in enumerate(np.column_stack(drawn).tolist()):
+        design = sweep.ScanConfig(*fields)
         force, rigidity, a, span, _, tilt_signed, y_max, _ = scanner.solve_scanner(*design)
-        worst_identity = max(worst_identity,
-                             abs(pipeline_force(design, rigidity) - force) / abs(force))
+        forces.append(force)
+        rigidities.append(rigidity)
         stack = design.substrate_E, design.substrate_t, design.piezo_E, design.piezo_t
         rigs = [rigidity] + [multimorph.section(*stack, design.beam_width, choice)[3]
                              for choice in ("substrate", "piezo")]
@@ -159,6 +183,9 @@ def checks(nodes: int):
         if i % 10 == 0:  # the profile checks, ~11 us a design, on 100 of them
             worst_profile = max(worst_profile,
                                 _profile_residual(force, a, span, rigidity, tilt_signed) / y_max)
+    forces = np.array(forces)
+    worst_identity = float(np.max(np.abs(pipeline_force(drawn, np.array(rigidities)) - forces)
+                                  / np.abs(forces)))
     yield "closed_form_identity", worst_identity, 1e-10
     yield "normalization_independence", worst_norm, 1e-12
     yield "profile_invariants", worst_profile, 1e-12

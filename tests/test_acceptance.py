@@ -55,6 +55,21 @@ def suite():
     return residuals, time.perf_counter() - start
 
 
+def test_verify_lines_pinned():
+    """`verify` prints these eight lines in this order, each at this tolerance: a line
+    dropped, renamed, reordered or loosened fails here."""
+    assert [(name, tol) for name, _, tol in verification.checks(2001)] == [
+        ("oracle_reaction", 5e-3),
+        ("oracle_profile_maxnorm", 5e-3),
+        ("oracle_tilt", 5e-3),
+        ("oracle_convergence_order", 0.0),
+        ("oracle_midspan_reaction", 5e-3),
+        ("closed_form_identity", 1e-10),
+        ("normalization_independence", 1e-12),
+        ("profile_invariants", 1e-12),
+    ]
+
+
 def test_criterion_2_closed_form_identity(suite):
     residuals, elapsed = suite
     worst = residuals["closed_form_identity"]

@@ -376,11 +376,17 @@ class TestSweepCommand:
         assert all(line.endswith(",ok") for line in lines[1:])
         assert lines[1].startswith("beam_length,0.0005,")
 
-    @pytest.mark.parametrize(
-        "start, stop",
-        [("50", "50"), ("50", "inf"), ("-inf", "50"), ("nan", "50"), ("-1e308", "1e308")],
-    )
+    BAD_RANGES = {
+        ("50", "50"): "--from must be less than --to",
+        ("50", "inf"): "--from and --to must be finite",
+        ("-inf", "50"): "--from and --to must be finite",
+        ("nan", "50"): "--from and --to must be finite",
+        ("-1e308", "1e308"): "--to minus --from must be finite",
+    }
+
+    @pytest.mark.parametrize("start, stop", list(BAD_RANGES))
     def test_bad_range_exit_code(self, config_path, tmp_path, capsys, start, stop):
+        """Each range error names the flags."""
         out = tmp_path / "s.csv"
         code = run(
             [
@@ -389,7 +395,7 @@ class TestSweepCommand:
             ]
         )
         assert code == 1
-        assert capsys.readouterr().err.startswith("config:")
+        assert capsys.readouterr().err == f"config: {self.BAD_RANGES[start, stop]}\n"
         assert not out.exists()
 
     def test_steps_bounded(self, config_path, tmp_path, capsys):

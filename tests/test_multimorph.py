@@ -220,6 +220,40 @@ class TestEquivalentForce:
         assert force_of(doubled) == pytest.approx(2 * force_of(design), rel=1e-9)
 
 
+def bits(values) -> np.ndarray:
+    """The IEEE bit patterns of values, so that -0.0 differs from 0.0 and nan matches."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+class TestBatchedReference:
+    """The 4x4 reference on a design of arrays, as `verify` draws and solves its designs."""
+
+    @pytest.mark.parametrize("seed, size", [(20260824, 1000), (11, 5000), (12, 5000),
+                                            (13, 5000), (14, 5000)])
+    def test_batched_solve_is_per_design_bit_for_bit(self, seed, size):
+        """One batched solve_curvature and pipeline_force give the bits of a call per design:
+        `checks`' own draw (seed 20260824, 1,000 designs) and four draws of 5,000."""
+        drawn = random_design(np.random.default_rng(seed), size)
+        designs = [ScanConfig(*fields) for fields in np.column_stack(drawn).tolist()]
+        rigidities = [solve_scanner(*design)[1] for design in designs]
+        assert np.array_equal(bits(np.column_stack(solve_curvature(drawn))),
+                              bits([solve_curvature(design) for design in designs]))
+        assert np.array_equal(bits(pipeline_force(drawn, np.array(rigidities))),
+                              bits([pipeline_force(design, rigidity)
+                                    for design, rigidity in zip(designs, rigidities)]))
+
+    def test_scalar_draw_pinned(self):
+        """Without a size, random_design draws field by field in ScanConfig's order and
+        returns floats: the designs that TestCarriers draws."""
+        design = random_design(np.random.default_rng(20261019))
+        assert all(type(value) is float for value in design)
+        assert [value.hex() for value in design] == [
+            "0x1.f295aaf21b033p+36", "0x1.5a48b0ed72d3ep+38", "-0x1.6b3f8dbcb7769p-34",
+            "0x1.69d67a5edfa51p-17", "0x1.12d3a93d1e70dp-17", "0x1.9221d280a0e1dp-13",
+            "0x1.ed8de2a7e0567p-10", "0x1.3b2af494d6444p-12", "0x1.3bddcd58aa684p+6",
+        ]
+
+
 @pytest.mark.parametrize("substrate_t", [0.0, math.nan])
 def test_invalid_stack_rejected(substrate_t):
     """check_stack names the field, and the solve raises its error."""
