@@ -64,33 +64,22 @@ class EquivalentSection(namedtuple("EquivalentSection", ("h_eq", "i_eq", "e_ref"
     __slots__ = ()
 
 
-_E_REF_CHOICES = ("substrate", "piezo", "max")
-
-
 def section(substrate_E: float, substrate_t: float, piezo_E: float, piezo_t: float,
-            width: float, e_ref_choice: str = "max") -> tuple[float, float, float, float]:
+            width: float) -> tuple[float, float, float, float]:
     """(h_eq, i_eq, e_ref, rigidity) of the homogenized cross-section of the stack.
 
     h_eq is the neutral-axis height above the substrate bottom, i_eq the
     transformed-section moment of inertia for the normalizing modulus e_ref,
     and rigidity the flexural rigidity e_ref * i_eq. Layer widths are
-    normalized by e_ref. The neutral axis is the stiffness-weighted barycenter
-    of the layer mid-heights; the inertia is the transformed-section sum of the
-    parallel-axis contributions. Which modulus normalizes is immaterial for the
-    rigidity. The three layers are summed left to right, substrate first, so
-    the result does not depend on how the interpreter's sum() rounds.
+    normalized by e_ref, the stiffer modulus, which keeps both width ratios <= 1.
+    The neutral axis is the stiffness-weighted barycenter of the layer
+    mid-heights; the inertia is the transformed-section sum of the parallel-axis
+    contributions. The three layers are summed left to right, substrate first,
+    so the result does not depend on how the interpreter's sum() rounds.
     """
-    if e_ref_choice not in _E_REF_CHOICES:
-        raise ValueError(f"e_ref_choice must be one of {_E_REF_CHOICES}")
     ts, tp = substrate_t, piezo_t
     hs, h1, h2 = ts / 2, ts + tp / 2, ts + 1.5 * tp  # layer mid-heights
-
-    if e_ref_choice == "substrate":
-        e_ref = substrate_E
-    elif e_ref_choice == "piezo":
-        e_ref = piezo_E
-    else:
-        e_ref = max(substrate_E, piezo_E)
+    e_ref = max(substrate_E, piezo_E)
 
     try:
         # Stiffness-scaled layer areas per unit width; width cancels in h_eq.

@@ -74,9 +74,10 @@ def _solve_superposed(grid, h, curvature_coeff, a_snapped, force):
     then fixes R.
 
     curvature_coeff[i] multiplies the bending moment at node i to give the
-    curvature: 0 on the rigid segment, 1/rigidity on the flexible one, and
-    the average of the two one-sided values at the junction node (the
-    curvature jumps there, and the central stencil sees the mean).
+    curvature times the beam's rigidity: 0 on a rigid segment, 1 on the
+    flexible one, and the average of the two one-sided values at the junction
+    node (the curvature jumps there, and the central stencil sees the mean).
+    The deflection is in units of 1/rigidity; the reaction does not scale.
     """
     n = grid.size
     # Moment split: M(x) = R * x + force * max(x - a, 0).
@@ -103,7 +104,8 @@ def solve_fd(problem: BeamProblem, rigidity_ratio: float = math.inf) -> OracleSo
     The mirror segment gets rigidity_ratio times the beam rigidity. The
     default, an infinite ratio, makes it exactly rigid (zero curvature); a
     large finite ratio confirms that the rigid idealization is insensitive
-    to it.
+    to it. The beam is solved at unit rigidity and its deflection divided by
+    the rigidity once, so the reaction has the same bits at any rigidity.
     """
     n = problem.nodes
     grid = np.linspace(0.0, problem.span, n)
@@ -112,13 +114,13 @@ def solve_fd(problem: BeamProblem, rigidity_ratio: float = math.inf) -> OracleSo
     j = min(max(j, 1), n - 2)
     a_snapped = grid[j]
 
-    c_mirror = 1.0 / (rigidity_ratio * problem.rigidity)
-    c_beam = 1.0 / problem.rigidity
-    coeff = np.full(n, c_beam)
+    c_mirror = 1.0 / rigidity_ratio  # flexibilities relative to the beam's
+    coeff = np.ones(n)
     coeff[:j] = c_mirror
-    coeff[j] = 0.5 * (c_mirror + c_beam)
+    coeff[j] = 0.5 * (c_mirror + 1.0)
 
     y, r = _solve_superposed(grid, h, coeff, a_snapped, problem.force)
+    y /= problem.rigidity
     return OracleSolution(reaction=r, grid=grid, deflection=y, a_snapped=a_snapped)
 
 

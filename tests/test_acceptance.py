@@ -1,12 +1,13 @@
 """Acceptance suite: one test per release criterion, with a pass/fail line
 printed for each (run with -s or check the captured output)."""
 
+import inspect
 import math
 import time
 
 import pytest
 
-from piezoscanner import sweep, verification
+from piezoscanner import multimorph, scanner, sweep, verification
 from piezoscanner.multimorph import section
 
 from conftest import sampled
@@ -70,6 +71,23 @@ def test_verify_lines_pinned():
     ]
 
 
+def test_normalization_line_fails_on_a_wrong_section(monkeypatch):
+    """A section that gives each piezo layer twice its own inertia (t^3/6) fails
+    normalization_independence, whatever modulus it normalizes by: the check's reference
+    is the layer sum, which shares no formula with section."""
+    source = inspect.getsource(multimorph.section)
+    mutant_source = source.replace("i_p = tp**3 / 12", "i_p = tp**3 / 6")
+    assert mutant_source != source
+    namespace = dict(vars(multimorph))
+    exec(mutant_source, namespace)
+    monkeypatch.setattr(multimorph, "section", namespace["section"])
+    monkeypatch.setattr(scanner, "section", namespace["section"])
+    monkeypatch.setattr(scanner, "_last_section", ((), 0.0))
+    residuals = {name: (residual, tol) for name, residual, tol in verification.checks(2001)}
+    residual, tol = residuals["normalization_independence"]
+    assert residual > tol
+
+
 def test_criterion_2_closed_form_identity(suite):
     residuals, elapsed = suite
     worst = residuals["closed_form_identity"]
@@ -117,7 +135,7 @@ def test_criterion_6_trivial_cases():
 
 def test_criterion_7_homogeneous_limit():
     substrate_t, width = 5e-6, 30e-6
-    h_eq, i_eq, _, _ = section(169e9, substrate_t, 60.6e9, 1e-30, width, "substrate")
+    h_eq, i_eq, _, _ = section(169e9, substrate_t, 60.6e9, 1e-30, width)
     ok = abs(h_eq - substrate_t / 2) <= 1e-12 * substrate_t
     expected = width * substrate_t**3 / 12
     ok &= abs(i_eq - expected) <= 1e-12 * expected

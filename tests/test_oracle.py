@@ -149,6 +149,19 @@ class TestConvergence:
         assert min(orders) >= 1.8
 
 
+class TestRigidityScale:
+    def test_reaction_independent_of_rigidity(self):
+        """The reaction of Scanner A's geometry and force has the same bits at any rigidity,
+        from subnormal to near overflow, with no division, overflow or invalid operation
+        (at 1e308 the deflection underflows, as it must)."""
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            reactions = [solve_fd(BeamProblem(span=SPAN, a=A, force=FORCE, rigidity=r)).reaction
+                         for r in (1e-310, RIGIDITY, 1e300, 1e308)]
+        assert [r.hex() for r in reactions] == [reactions[1].hex()] * 4
+        expected = scanner.statics(FORCE, A, SPAN, RIGIDITY)[0]
+        assert reactions[0] == pytest.approx(expected, rel=5e-3)
+
+
 class TestFiniteRigidity:
     def test_tilt_insensitive_to_rigid_idealization(self):
         exact = solve_fd(problem_a()).tilt()

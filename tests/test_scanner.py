@@ -10,9 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from piezoscanner.multimorph import (
-    _E_REF_CHOICES, OutOfRangeError, check_stack, end_force, section,
-)
+from piezoscanner.multimorph import OutOfRangeError, check_stack, end_force, section
 from piezoscanner.scanner import (
     _beam, _slope, check_mirror, profile_points, solve_scanner, statics,
 )
@@ -312,18 +310,10 @@ def reference_statics(force, a, span, rigidity):
     return r_a, tilt_signed, y_max, x_at
 
 
-def reference_section(substrate_E, substrate_t, piezo_E, piezo_t, width, e_ref_choice="max"):
-    if e_ref_choice not in _E_REF_CHOICES:
-        raise ValueError(f"e_ref_choice must be one of {_E_REF_CHOICES}")
+def reference_section(substrate_E, substrate_t, piezo_E, piezo_t, width):
     ts, tp = substrate_t, piezo_t
     hs, h1, h2 = ts / 2, ts + tp / 2, ts + 1.5 * tp  # layer mid-heights
-
-    if e_ref_choice == "substrate":
-        e_ref = substrate_E
-    elif e_ref_choice == "piezo":
-        e_ref = piezo_E
-    else:
-        e_ref = max(substrate_E, piezo_E)
+    e_ref = max(substrate_E, piezo_E)
 
     try:
         # Stiffness-scaled layer areas per unit width; width cancels in h_eq.
@@ -387,8 +377,7 @@ def extreme_value(rng):
 
 def test_solve_matches_scalar_reference_bit_for_bit():
     """20,000 seeded designs, half physical and half extreme: solve_scanner, statics on
-    the design's own loads and section under every e_ref choice give the reference's bits
-    or its exact exception."""
+    the design's own loads and section give the reference's bits or its exact exception."""
     rng = random.Random(20261019)
     solved = 0
     for i in range(20_000):
@@ -401,8 +390,7 @@ def test_solve_matches_scalar_reference_bit_for_bit():
         assert outcome(statics, *loads) == reference_outcome(reference_statics, *loads), loads
         stack = (config.substrate_E, config.substrate_t, config.piezo_E, config.piezo_t,
                  config.beam_width)
-        for choice in _E_REF_CHOICES:
-            assert outcome(section, *stack, choice) == outcome(reference_section, *stack, choice)
+        assert outcome(section, *stack) == outcome(reference_section, *stack)
     assert solved > 10_000  # every physical design and some extreme ones solve
 
 
