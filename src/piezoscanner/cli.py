@@ -42,7 +42,7 @@ def _fmt(value: float) -> str:
 def _write_atomic(path: str, header: str, pieces) -> None:
     """Write the header line, then the string pieces as they arrive, to a new temp file
     beside path; rename it over path only once the last piece is written. Memory holds one
-    piece at a time: callers that stream rows join them 1,024 to a piece. The file gets
+    piece at a time: sweep and profile rows are each formatted 1,024 to a piece. The file gets
     the mode a plain open() would give it, 0o666 less the umask, which the kernel applies.
     An OSError raises ConfigError, which names path, not the temp file."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}.csv")
@@ -60,13 +60,6 @@ def _write_atomic(path: str, header: str, pieces) -> None:
             raise
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
-
-
-def _joined(lines):
-    """The newline-terminated lines of a stream, joined 1,024 to a piece."""
-    lines = iter(lines)
-    while chunk := "".join(itertools.islice(lines, 1024)):
-        yield chunk
 
 
 def _profile_rows(points):
@@ -159,13 +152,27 @@ def _cmd_sweep(args) -> int:
     failed = 0
 
     def rows():
+        """The CSV's rows, 1,024 points to a piece. A chunk of ok points whose result
+        cells sum to a finite value is formatted in one call. Any other chunk goes row by
+        row through _sweep_row; only such rows can count as failed."""
         nonlocal failed
-        for point in sweep_mod.sweep_points(spec):
-            line = _sweep_row(args.axis, *point)
-            failed += not line.endswith(",ok\n")
-            yield line
+        points = sweep_mod.sweep_points(spec)
+        ok_row = f"{args.axis},%.9g,%.9g,%.9g,%.9g,%.9g,ok\n"
+        while chunk := list(itertools.islice(points, 1024)):
+            if all(point[5] == "ok" for point in chunk):
+                values = tuple(itertools.chain.from_iterable(
+                    (value, tilt_deg, y_max * 1e6, abs(force) * 1e6, reaction * 1e6)
+                    for value, tilt_deg, y_max, force, reaction, _ in chunk))
+                # A sum with an inf or nan term is not finite, so a finite sum clears every cell.
+                if math.isfinite(sum(values[1::5]) + sum(values[2::5]) + sum(values[3::5])
+                                 + sum(values[4::5])):
+                    yield (ok_row * len(chunk)) % values
+                    continue
+            lines = [_sweep_row(args.axis, *point) for point in chunk]
+            failed += sum(not line.endswith(",ok\n") for line in lines)
+            yield "".join(lines)
 
-    _write_atomic(args.out, _SWEEP_HEADER, _joined(rows()))
+    _write_atomic(args.out, _SWEEP_HEADER, rows())
     if failed:
         print("numeric: some sweep points failed; see the status column", file=sys.stderr)
         return EXIT_NUMERIC

@@ -11,6 +11,7 @@ the bending-moment statics.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 
 import numpy as np
@@ -128,14 +129,19 @@ def profile_error(problem: BeamProblem, solution: OracleSolution) -> float:
     """Max-norm relative error of the oracle profile vs the closed form.
 
     The closed form is evaluated at the snapped junction so both sides
-    solve the identical problem.
+    solve the identical problem. Under a zero force the closed form is exactly
+    zero and the error is the oracle's largest |deflection|. Under any other
+    force, a closed form whose largest |deflection| is 0 or subnormal has
+    underflowed, so nothing can be compared: ValueError.
     """
     x, a, span, force = solution.grid, solution.a_snapped, problem.span, problem.force
+    if force == 0:
+        return float(np.max(np.abs(solution.deflection)))
     slope = scanner._slope(force, a, span, problem.rigidity)
     closed = np.where(x <= a, slope * x, scanner._beam(x, slope, a, span))
-    scale = np.max(np.abs(closed))
-    if scale == 0:
-        return float(np.max(np.abs(solution.deflection)))
+    scale = float(np.max(np.abs(closed)))
+    if scale < sys.float_info.min:
+        raise ValueError(f"closed-form profile scale {scale!r} underflows; nothing to compare")
     return float(np.max(np.abs(solution.deflection - closed)) / scale)
 
 

@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import math
 import os
 import pathlib
 import random
@@ -11,10 +13,11 @@ import textwrap
 import pytest
 
 import piezoscanner
-from piezoscanner.cli import MAX_SAMPLES, MAX_STEPS, _fmt, _joined, _write_atomic, run
+from piezoscanner.cli import (MAX_SAMPLES, MAX_STEPS, _SWEEP_HEADER, _fmt, _sweep_row,
+                              _write_atomic, run)
 from piezoscanner.config import ConfigError, parse_config
 from piezoscanner.scanner import profile_points, solve_scanner
-from piezoscanner.sweep import reference_config
+from piezoscanner.sweep import SweepSpec, reference_config, sweep_points
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 SCANNER_A_CFG = (REPO / "scannerA.cfg").read_text()
@@ -350,6 +353,54 @@ def test_sweep_bytes_pinned(config_path, tmp_path, capsys, axis, start, stop):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# Scanner A at 1.55e224 V with 3.28e88 um wide beams: finite SI results, inf in uN.
+CSV_UNIT_OVERFLOW = {"voltage_V = 50": "voltage_V = 1.55e224",
+                     "beam_width_um = 30": "beam_width_um = 3.28e88"}
+
+# (edits, axis, from, to, steps) of the sweeps that must keep their per-row bytes.
+CHUNK_EDGE_SWEEPS = {
+    "1023-steps": ({}, "beam_length", "100e-6", "2000e-6", 1023),
+    "1024-steps": ({}, "beam_width", "5e-6", "200e-6", 1024),
+    "1025-steps": ({}, "mirror_side", "50e-6", "1000e-6", 1025),
+    "3000-steps": ({}, "voltage", "-200", "200", 3000),
+    # Rows 0-499 fail, all inside the first chunk.
+    "errors-inside-chunk": ({}, "beam_length", "-1e-3", "3e-3", 2000),
+    # Rows 0-1499 fail, across the edge between the first and second chunks.
+    "errors-across-edge": ({}, "beam_length", "-1e-3", "1e-3", 3000),
+    # Rows 2338-2999 overflow in CSV units, from inside the last chunk to its end.
+    "csv-overflow-in-last-chunk": (CSV_UNIT_OVERFLOW, "voltage", "1", "2.4e221", 3000),
+    # Rows 4-2999 overflow in CSV units: a mixed chunk, then two failed ones.
+    "csv-overflow": (CSV_UNIT_OVERFLOW, "voltage", "1", "1.55e224", 3000),
+    # Every cell is finite, but each chunk's cells sum to inf: every row stays ok.
+    "finite-cells-inf-sum": ({}, "voltage", "1e300", "1.7e308", 3000),
+}
+
+
+@pytest.mark.parametrize("case", list(CHUNK_EDGE_SWEEPS))
+def test_sweep_chunks_match_per_row_bytes(tmp_path, capsys, case):
+    """The sweep's CSV, exit code and numeric line are those of one _sweep_row call a point,
+    whichever way each 1,024-point chunk is formatted."""
+    edits, axis, start, stop, steps = CHUNK_EDGE_SWEEPS[case]
+    text = SCANNER_A_CFG
+    for old, new in edits.items():
+        text = text.replace(old, new)
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(text)
+    spec = SweepSpec(base=parse_config(text), axis=axis, start=float(start), stop=float(stop),
+                     steps=steps)
+    rows = [_sweep_row(axis, *point) for point in sweep_points(spec)]
+    failed = sum(not row.endswith(",ok\n") for row in rows)
+    if case == "finite-cells-inf-sum":
+        cells = [float(cell) for row in rows[:1024] for cell in row.split(",")[2:6]]
+        assert failed == 0 and all(map(math.isfinite, cells)) and sum(cells) == math.inf
+    out = tmp_path / "s.csv"
+    code = run(["sweep", "--config", str(cfg), "--axis", axis, f"--from={start}", f"--to={stop}",
+                "--steps", str(steps), "--out", str(out)])
+    assert out.read_text() == _SWEEP_HEADER + "\n" + "".join(rows)
+    assert code == (2 if failed else 0)
+    assert ("numeric:" in capsys.readouterr().err) == bool(failed)
+
+
 def test_row_format_is_fmt():
     """The CSV rows' one "%.9g" format per row renders each cell as _fmt does."""
     rng = random.Random(20261018)
@@ -466,10 +517,6 @@ class TestVerifyCommand:
 
 class TestNonFiniteResults:
     """Finite inputs whose results overflow fail with exit 2, never print nan or inf."""
-
-    # Scanner A at 1.55e224 V with 3.28e88 um wide beams: finite SI results, inf in uN.
-    CSV_UNIT_OVERFLOW = {"voltage_V = 50": "voltage_V = 1.55e224",
-                         "beam_width_um = 30": "beam_width_um = 3.28e88"}
 
     @pytest.mark.parametrize(
         "edits, argv, reason",
@@ -604,8 +651,13 @@ class TestAtomicWrites:
                 yield f"{i},0\n"
             raise ValueError("row 1500 fails")
 
+        def pieces():
+            lines = rows()
+            while piece := "".join(itertools.islice(lines, 1024)):
+                yield piece
+
         with pytest.raises(ValueError, match="row 1500 fails"):
-            _write_atomic(str(out), "x_um,y_um", _joined(rows()))
+            _write_atomic(str(out), "x_um,y_um", pieces())
         assert out.read_bytes() == b"earlier output\n"
         assert os.listdir(tmp_path) == ["p.csv"]
 

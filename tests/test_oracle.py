@@ -161,6 +161,14 @@ class TestRigidityScale:
         expected = scanner.statics(FORCE, A, SPAN, RIGIDITY)[0]
         assert reactions[0] == pytest.approx(expected, rel=5e-3)
 
+    @pytest.mark.parametrize("rigidity, scale", [(1e308, "0.0"), (1e300, "2.12467526e-316")])
+    def test_profile_error_rejects_underflowed_scale(self, rigidity, scale):
+        """At 1e308 both profiles underflow to 0 and at 1e300 the closed form is subnormal:
+        neither is a match, and the error names the scale."""
+        problem = BeamProblem(span=SPAN, a=A, force=FORCE, rigidity=rigidity)
+        with pytest.raises(ValueError, match=f"^closed-form profile scale {scale} underflows"):
+            profile_error(problem, solve_fd(problem))
+
 
 class TestFiniteRigidity:
     def test_tilt_insensitive_to_rigid_idealization(self):
