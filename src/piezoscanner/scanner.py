@@ -9,15 +9,12 @@ half-mirror (zero curvature); segment [B, C] bends with the multimorph's
 equivalent rigidity.
 
 :func:`solve_scanner` is the model's one solve of a design, on the plain
-floats of its fields: `model`, `profile`, the sweeps, the optimizer,
-`table1` and `verify`'s oracle checks all solve through it. The statics
-split into a geometry part, the factors that depend on (a, span) alone,
-and a load part that scales them, the one place that computes the
-reaction, tilt and y_max (see :func:`statics`). :func:`solve_scanner` keeps
-the last rigidity, keyed on the five stack fields :func:`section` reads,
-and the last geometry factors, keyed on (a, span). The keys are checked
-positive floats, so equal keys are equal bits: a hit returns the bits a
-miss computes.
+floats of its fields: `model`, `profile` and `verify`'s oracle checks call
+it, and the sweeps, the optimizer and `table1` call the private solve
+behind it, passing in the rigidity or the geometry factors that their axis
+leaves unchanged. The statics split into a geometry part, the factors that
+depend on (a, span) alone, and a load part that scales them, the one place
+that computes the reaction, tilt and y_max (see :func:`statics`).
 :func:`check_mirror` is the model's one check of the half-beam geometry,
 and :class:`piezoscanner.oracle.BeamProblem` the oracle's. The closed forms
 assume 0 < a < span and rigidity > 0. A stack's rigidity is positive
@@ -150,10 +147,7 @@ def statics(force: float, a: float, span: float, rigidity: float) -> tuple[float
     +0.0, slope = force a L^3 / (4 rigidity q), tilt = atan(slope) and
     y_max = |slope| y_factor.
     Each value takes one expression's operations in order, and the geometry
-    part raises first, as a single pass would. :func:`solve_scanner` reuses
-    the last factors and rigidity while their keys, (a, span) and section's
-    five stack fields, are unchanged; the keys are checked positive floats, so
-    equal keys are equal bits. statics caches nothing: it takes +-0 and nan.
+    part raises first, as a single pass would.
 
     Raises OutOfRangeError where a stage overflows or divides by zero, and
     ValueError naming the first of force, rigidity, reaction, tilt and y_max
@@ -161,13 +155,6 @@ def statics(force: float, a: float, span: float, rigidity: float) -> tuple[float
     term is not finite, and only such a sum walks the loop that names the value.
     """
     return _load(force, a, rigidity, _geometry(a, span))
-
-
-# solve_scanner's two one-entry caches, each (key, value) in one tuple so that a
-# reader never pairs one call's key with another's value: the section's five stack
-# fields -> rigidity, and (a, span) -> the geometry part's factors.
-_last_section = ((), 0.0)
-_last_geometry = ((), ())
 
 
 def solve_scanner(substrate_E: float, piezo_E: float, d31: float, substrate_t: float,
@@ -179,28 +166,31 @@ def solve_scanner(substrate_E: float, piezo_E: float, d31: float, substrate_t: f
     The stack is checked first, then the mirror, so a design that fails both
     raises the stack's error. Nothing is sampled; :func:`profile_points`
     samples the profile.
-
-    A sweep or an optimizer step changes one field of the last design, so
-    the rigidity and the geometry factors are kept for their last key (see
-    :func:`statics`); a computation that raises stores nothing. Threads may
-    race on a miss, but each reads a key and its value from one tuple. The
-    fields are floats, as the config parser and the sweeps give them: an int
-    equal to a cached float reuses the float's value.
     """
-    global _last_section, _last_geometry
-    check_stack(substrate_E, substrate_t, piezo_E, piezo_t, beam_width, beam_length)
-    a, span = check_mirror(mirror_side, beam_length)
+    return _solve((substrate_E, piezo_E, d31, substrate_t, piezo_t, beam_width, beam_length,
+                   mirror_side, voltage), None, None)
+
+
+def _solve(fields, rigidity, geometry):
+    """:func:`solve_scanner` of the nine field values in fields, given the design's section
+    rigidity and :func:`_geometry` factors, or None for either to compute it here.
+
+    The checks are one test; only a design that fails it goes through
+    check_stack, then check_mirror, which raise the first failure's error.
+    """
+    (substrate_E, piezo_E, d31, substrate_t, piezo_t, beam_width, beam_length, mirror_side,
+     voltage) = fields
+    a = mirror_side / 2
+    span = a + beam_length
+    if not (substrate_E > 0 and substrate_t > 0 and piezo_E > 0 and piezo_t > 0 and beam_width > 0
+            and beam_length > 0 and mirror_side > 0 and 0 < a < span):
+        check_stack(substrate_E, substrate_t, piezo_E, piezo_t, beam_width, beam_length)
+        a, span = check_mirror(mirror_side, beam_length)
     force = end_force(beam_width, piezo_t, piezo_E, d31, voltage, beam_length)
-    stack = substrate_E, substrate_t, piezo_E, piezo_t, beam_width
-    key, rigidity = _last_section
-    if key != stack:
-        rigidity = section(*stack)[3]
-        _last_section = stack, rigidity
-    ends = a, span
-    key, geometry = _last_geometry
-    if key != ends:
+    if rigidity is None:
+        rigidity = section(substrate_E, substrate_t, piezo_E, piezo_t, beam_width)[3]
+    if geometry is None:
         geometry = _geometry(a, span)
-        _last_geometry = ends, geometry
     r_a, tilt_signed, y_max, x_at = _load(force, a, rigidity, geometry)
     return force, rigidity, a, span, r_a, tilt_signed, y_max, x_at
 

@@ -7,7 +7,7 @@ from collections import namedtuple
 
 from . import materials
 from .multimorph import MultimorphStack
-from .scanner import ScannerGeometry, solve_scanner
+from .scanner import ScannerGeometry, _geometry, _solve
 
 
 class ScanConfig(namedtuple("ScanConfig", ("substrate_E", "piezo_E", "d31", "substrate_t",
@@ -97,17 +97,40 @@ class SweepRecord(namedtuple("SweepRecord", ("param_value", "tilt_deg", "y_max_m
         return self.status == "ok"
 
 
-def _points(base: ScanConfig, field: str, values):
-    """SweepRecord fields, as tuples, of base with field set to each value in turn.
+def _stepper(base: ScanConfig, field: str):
+    """A function that solves base with field set to its argument, as solve_scanner does.
 
-    A failed point's status is the error text that :func:`solve_scanner` raises.
+    From the first point that solves, it reuses the rigidity and the geometry
+    factors, each unless field is one that sets it, so a reused part has the
+    bits of computing it again.
     """
     design = list(base)
     index = base._fields.index(field)
-    for value in values:
+    keep_rigidity = field not in ("substrate_E", "substrate_t", "piezo_E", "piezo_t", "beam_width")
+    keep_geometry = field not in ("beam_length", "mirror_side")
+    rigidity = geometry = None
+
+    def step(value):
+        nonlocal rigidity, geometry
         design[index] = value
+        solution = _solve(design, rigidity, geometry)
+        if keep_rigidity and rigidity is None:
+            rigidity = solution[1]
+        if keep_geometry and geometry is None:
+            geometry = _geometry(solution[2], solution[3])
+        return solution
+
+    return step
+
+
+def _points(step, values):
+    """SweepRecord fields, as tuples, of each value's solve by step, in turn.
+
+    A failed point's status is the error text that the solve raises.
+    """
+    for value in values:
         try:
-            force, _, _, _, r_a, tilt_signed, y_max, _ = solve_scanner(*design)
+            force, _, _, _, r_a, tilt_signed, y_max, _ = step(value)
         except ValueError as exc:
             yield value, math.nan, math.nan, math.nan, math.nan, str(exc)
         else:
@@ -116,7 +139,7 @@ def _points(base: ScanConfig, field: str, values):
 
 def sweep_points(spec: SweepSpec):
     """The sweep grid's SweepRecord fields, as tuples, one point at a time."""
-    return _points(spec.base, AXES[spec.axis], spec.grid())
+    return _points(_stepper(spec.base, AXES[spec.axis]), spec.grid())
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
@@ -148,7 +171,8 @@ def optimize_1d(spec: SweepSpec, objective: str = "tilt") -> tuple[float, float]
         raise ValueError(f"objective must be one of {_OBJECTIVES}")
 
     column = 1 if objective == "tilt" else 2  # of a sweep_points tuple
-    grid = [(point[0], point[column]) for point in sweep_points(spec) if point[5] == "ok"]
+    step = _stepper(spec.base, AXES[spec.axis])
+    grid = [(point[0], point[column]) for point in _points(step, spec.grid()) if point[5] == "ok"]
     if not grid:
         raise ValueError("no feasible point on the sweep grid")
 
@@ -163,13 +187,9 @@ def optimize_1d(spec: SweepSpec, objective: str = "tilt") -> tuple[float, float]
     if lo == hi:
         return best_x, best_f
 
-    design = list(spec.base)
-    index = spec.base._fields.index(AXES[spec.axis])
-
     def objective_at(value: float) -> float:
-        design[index] = value
         try:
-            _, _, _, _, _, tilt_signed, y_max, _ = solve_scanner(*design)
+            _, _, _, _, _, tilt_signed, y_max, _ = step(value)
         except ValueError as exc:
             raise ValueError(f"objective undefined at {value}: {exc}") from exc
         return math.degrees(abs(tilt_signed)) if column == 1 else y_max
@@ -204,4 +224,4 @@ TABLE1_BEAM_LENGTHS = (850e-6, 600e-6, 500e-6)
 def table1() -> list[SweepRecord]:
     """The three reference designs: 850/600/500 um beams, 30 um wide, 50 V."""
     return [SweepRecord(*point)
-            for point in _points(reference_config(), "beam_length", TABLE1_BEAM_LENGTHS)]
+            for point in _points(_stepper(reference_config(), "beam_length"), TABLE1_BEAM_LENGTHS)]

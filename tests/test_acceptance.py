@@ -82,7 +82,6 @@ def test_normalization_line_fails_on_a_wrong_section(monkeypatch):
     exec(mutant_source, namespace)
     monkeypatch.setattr(multimorph, "section", namespace["section"])
     monkeypatch.setattr(scanner, "section", namespace["section"])
-    monkeypatch.setattr(scanner, "_last_section", ((), 0.0))
     residuals = {name: (residual, tol) for name, residual, tol in verification.checks(2001)}
     residual, tol = residuals["normalization_independence"]
     assert residual > tol

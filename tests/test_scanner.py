@@ -3,8 +3,8 @@ import random
 import re
 import struct
 import sys
-import threading
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -15,7 +15,9 @@ from piezoscanner.scanner import (
     _beam, _slope, check_mirror, profile_points, solve_scanner, statics,
 )
 from piezoscanner import sweep
-from piezoscanner.sweep import AXES, ScanConfig, SweepSpec, optimize_1d, reference_config
+from piezoscanner.sweep import (
+    AXES, ScanConfig, SweepSpec, optimize_1d, reference_config, sweep_points,
+)
 from piezoscanner.verification import branches
 
 from conftest import Solution, drive_voltages, half, physical_designs, sampled
@@ -394,6 +396,27 @@ def test_solve_matches_scalar_reference_bit_for_bit():
     assert solved > 10_000  # every physical design and some extreme ones solve
 
 
+# Each field, and each pair of fields, of Scanner A set to a value that fails a check or
+# reaches the solve: a pair that fails two checks raises the first check's error.
+BAD_FIELDS = [(field,) for field in ScanConfig._fields] + list(combinations(ScanConfig._fields, 2))
+
+
+@pytest.mark.parametrize("fields", BAD_FIELDS, ids="+".join)
+def test_failed_checks_keep_their_order(fields):
+    for value in (0.0, -0.0, -1.0, math.nan, -math.inf):
+        design = reference_config()._replace(**dict.fromkeys(fields, value))
+        assert outcome(solve_scanner, *design) == reference_outcome(reference_solve, *design)
+
+
+@pytest.mark.parametrize("mirror_side, beam_length", [(5e-324, 850e-6), (1.0, 1e-17)],
+                         ids=["mirror-halves-to-0", "a+L-rounds-to-a"])
+def test_failed_mirror_checks_keep_their_text(mirror_side, beam_length):
+    design = reference_config()._replace(mirror_side=mirror_side, beam_length=beam_length)
+    got = outcome(solve_scanner, *design)
+    assert got == reference_outcome(reference_solve, *design)
+    assert got[0] is OutOfRangeError
+
+
 # optimize_1d's (best_x, best_f) as hex on two seeded physical specs per axis, as the
 # optimizer found them when its grid scan still built SweepRecords.
 OPTIMIZER_PINS = {
@@ -428,102 +451,87 @@ def test_optimize_1d_pinned(spec, objective):
     assert (best_x.hex(), best_f.hex()) == OPTIMIZER_PINS[spec.axis, objective]
 
 
-def sweep_values(rng, base, axis, physical):
-    """A sweep of one axis of base: 40 steps over the axis's physical range from a physical
-    base, or 40 sorted extreme values from an extreme one."""
+def sweep_spec(rng, base, axis, physical):
+    """A 40-step sweep of one axis of base: over the axis's physical range from a physical
+    base, or between two extreme values from an extreme one."""
     if physical:
-        return list(SweepSpec(base, axis, *PHYSICAL_RANGES[ScanConfig._fields.index(AXES[axis])],
-                              40).grid())
-    return sorted(extreme_value(rng) for _ in range(40))
+        return SweepSpec(base, axis, *PHYSICAL_RANGES[ScanConfig._fields.index(AXES[axis])], 40)
+    while True:
+        start, stop = sorted(extreme_value(rng) for _ in range(2))
+        try:
+            return SweepSpec(base, axis, start, stop, 40)
+        except ValueError:  # an infinite or equal bound, or an overflowing width
+            pass
 
 
-def test_cached_solves_match_reference_bit_for_bit():
-    """solve_scanner keeps the last section and (a, span) factors. Sweeps along all six axes,
-    a walk whose consecutive designs differ in one field, and beams that round a + L to the
-    same span for several mirrors give reference_solve's bits or its exact exception."""
+def record_outcome(design):
+    """The sweep record's tilt_deg, y_max, force and reaction that reference_solve gives
+    design, as hex, or its error text."""
+    expected = reference_outcome(reference_solve, *design)
+    if isinstance(expected, tuple):
+        return expected[1]
+    force, _, _, _, r_a, tilt_signed, y_max, _ = map(float.fromhex, expected)
+    return [math.degrees(abs(tilt_signed)).hex(), y_max.hex(), force.hex(), r_a.hex()]
+
+
+def test_hoisted_sweeps_match_reference_bit_for_bit():
+    """sweep_points reuses the rigidity or the geometry factors that its axis leaves
+    unchanged. Sweeps along all six axes from physical and extreme bases, beams that round
+    a + L to the same span for several mirrors, and bases whose reused stage raises give
+    reference_solve's bits or its error text at every point."""
     rng = random.Random(20261020)
     bases = [(physical_design(rng), True) if i % 2
-             else (ScanConfig(*(extreme_value(rng) for _ in range(9))), False) for i in range(60)]
-    sweeps = [(base, axis, sweep_values(rng, base, axis, physical))
-              for base, physical in bases for axis in sorted(AXES)]
+             else (ScanConfig(*(extreme_value(rng) for _ in range(9))), False) for i in range(100)]
+    specs = [sweep_spec(rng, base, axis, physical)
+             for base, physical in bases for axis in sorted(AXES)]
     # a + L rounds to span = 1 m for every mirror, so (a, span) changes in a alone, and
     # span - a leaves 1 once a passes a quarter of the ulp of 1.
-    sweeps.append((physical_design(rng)._replace(beam_length=1.0), "mirror_side",
-                   [m * 4e-18 for m in range(1, 56)]))
+    specs.append(SweepSpec(physical_design(rng)._replace(beam_length=1.0), "mirror_side",
+                           4e-18, 220e-18, 55))
+    # Reused stages that raise: the section overflows, the geometry's L^3 overflows, and the
+    # rigidity underflows to 0. Lengths and thicknesses <= 0 fail their check first.
+    section_overflow = reference_config()._replace(substrate_t=1e200)
+    huge_geometry = reference_config()._replace(beam_length=1e103, mirror_side=2e103)
+    underflow = reference_config()._replace(substrate_E=1e-320, piezo_E=1e-320)
+    for base, axes in ((section_overflow, ("voltage", "beam_length")),
+                       (huge_geometry, ("voltage", "piezo_thickness")),
+                       (underflow, ("voltage", "mirror_side"))):
+        specs += [SweepSpec(base, axis, -2e-3, 2e-3, 41) for axis in axes]
     solved = 0
-    for base, axis, values in sweeps:
-        design = list(base)
-        index = ScanConfig._fields.index(AXES[axis])
-        for value in values:
-            design[index] = value
-            got = outcome(solve_scanner, *design)
-            assert got == reference_outcome(reference_solve, *design), (axis, design)
-            solved += isinstance(got, list)
-
-    # Each field takes one of two physical values or one extreme value, so steps return to
-    # cached keys and leave them in every order.
-    pools = [(rng.uniform(lo, hi), rng.uniform(lo, hi), extreme_value(rng))
-             for lo, hi in PHYSICAL_RANGES]
-    design = [pool[0] for pool in pools]
-    for _ in range(20_000):
-        field = rng.randrange(len(design))
-        value = rng.choice([v for v in pools[field] if v != design[field]])
-        design[field] = value
-        got = outcome(solve_scanner, *design)
-        assert got == reference_outcome(reference_solve, *design), design
-        solved += isinstance(got, list)
-    assert solved > 10_000
+    for spec in specs:
+        field = AXES[spec.axis]
+        for value, *cells, status in sweep_points(spec):
+            expected = record_outcome(spec.base._replace(**{field: value}))
+            got = [cell.hex() for cell in cells] if status == "ok" else status
+            assert got == expected, (spec, value)
+            solved += status == "ok"
+    assert solved > 12_000
 
 
 def test_optimizer_steps_match_reference_bit_for_bit(monkeypatch):
-    """Every grid point and golden-section step of optimize_1d, whose consecutive solves
-    differ in the optimized field, gives reference_solve's bits or its exact exception."""
+    """Every grid point and golden-section step of optimize_1d, whose solves reuse the
+    parts their axis leaves unchanged, gives reference_solve's bits or its exact exception."""
     steps = []
+    solve = sweep._solve
 
-    def checked_solve(*design):
-        steps.append(design)
+    def checked_solve(fields, rigidity, geometry):
+        design = tuple(fields)
+        steps.append((rigidity, geometry))
         expected = reference_outcome(reference_solve, *design)
         try:
-            result = solve_scanner(*design)
+            result = solve(fields, rigidity, geometry)
         except Exception as exc:  # the exception type is part of what is compared
             assert (type(exc), str(exc)) == expected, design
             raise
         assert [value.hex() for value in result] == expected, design
         return result
 
-    monkeypatch.setattr(sweep, "solve_scanner", checked_solve)
+    monkeypatch.setattr(sweep, "_solve", checked_solve)
     for spec, objective in optimizer_specs():
         optimize_1d(spec, objective)
     assert len(steps) > 12 * 64
-
-
-def test_cached_solves_are_thread_safe():
-    """Four threads, two per design, sweep the voltage of two designs with a 0.1 ms switch
-    interval, so solves keep replacing the other design's cached keys; each thread gets the
-    reference's results."""
-    rng = random.Random(20261021)
-    jobs = []
-    for base in (physical_design(rng), physical_design(rng)):
-        designs = [base._replace(voltage=v) for v in SweepSpec(base, "voltage", -200.0, 200.0, 500).grid()]
-        jobs.append((designs, [reference_outcome(reference_solve, *design) for design in designs]))
-    mismatches = []
-
-    def run(designs, expected):
-        for _ in range(10):
-            mismatches.extend(d for d, e in zip(designs, expected) if outcome(solve_scanner, *d) != e)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-4)
-    try:
-        threads = [threading.Thread(target=run, args=jobs[i % 2]) for i in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert mismatches == []
+    assert sum(rigidity is not None for rigidity, _ in steps) > 6 * 64
+    assert sum(geometry is not None for _, geometry in steps) > 8 * 64
 
 
 # The profile reference: profile_points' body before the left half's ordinates were
