@@ -15,13 +15,13 @@ profile checks read both half-profile branches as scanner evaluates them
 No model path calls this module; the CLI loads it, and numpy with it, only
 for `verify`.
 
-Domain, as each check draws it. All three draw moduli of 10-500 GPa, layers
-0.2-20 um thick, widths of 5-200 um and lengths of 100-2000 um.
-:func:`random_design` draws mirrors of 20-1000 um, d31 of -10 to -500 pm/V
-and |V| of 1-100 V of either sign. The tests' `physical_designs` draws
-mirrors of 50-1000 um, d31 of 0 or 1-500 pm/V of either sign and V of 0 or
-0.01-200 V of either sign. `test_scanner.PHYSICAL_RANGES` draws mirrors of
-10-1000 um, d31 in +-500 pm/V and V in +-200 V.
+Domain. :data:`PHYSICAL_RANGES` is the one physical domain: moduli of 10-500 GPa,
+layers 0.2-20 um thick, widths of 5-200 um, lengths of 100-2000 um, mirrors of
+10-1000 um, |d31| of 1-500 pm/V and |V| of 0.01-200 V. Every physical draw reads it
+and names only its options: :func:`random_design` draws d31 < 0 and V of either sign;
+the tests' `physical_designs` draws d31 of either sign, or zero unless `d31_nonzero`,
+and V as its named drive says: zero or either sign, either sign but nonzero, or
+positive; `test_scanner.physical_design` draws d31 and V uniform through zero.
 
 The formulation cancels as the piezo layer thins: the condition number is
 6.4e5 at Scanner A's 1 um and 1.5e15 at 1e-14 um, where the pipeline force is
@@ -116,18 +116,18 @@ def layer_rigidity(design):
                                 + ep * (tp * tp * tp / 12 + tp * d2 * d2))
 
 
-# The ranges of random_design's draws, in ScanConfig's field order: d31 and the voltage
+# The physical domain, one (lo, hi) per ScanConfig field in its order: d31 and the voltage
 # as magnitudes.
-_DRAWN_RANGES = ((10e9, 500e9), (10e9, 500e9), (10e-12, 500e-12), (0.2e-6, 20e-6),
-                 (0.2e-6, 20e-6), (5e-6, 200e-6), (100e-6, 2000e-6), (20e-6, 1000e-6),
-                 (1.0, 100.0))
+PHYSICAL_RANGES = ((10e9, 500e9), (10e9, 500e9), (1e-12, 500e-12), (0.2e-6, 20e-6),
+                   (0.2e-6, 20e-6), (5e-6, 200e-6), (100e-6, 2000e-6), (10e-6, 1000e-6),
+                   (0.01, 200.0))
 
 
 def random_design(rng: np.random.Generator, size: int) -> sweep.ScanConfig:
-    """`size` designs drawn uniformly from `_DRAWN_RANGES` as arrays, one draw call per
-    field, with d31 < 0 and a 1-100 V drive of either sign."""
+    """`size` designs drawn uniformly from `PHYSICAL_RANGES` as arrays, one draw call per
+    field, with d31 < 0 and a drive of either sign."""
     e_s, e_p, d31, t_s, t_p, width, length, mirror, volts = (
-        rng.uniform(lo, hi, size) for lo, hi in _DRAWN_RANGES)
+        rng.uniform(lo, hi, size) for lo, hi in PHYSICAL_RANGES)
     sign = rng.choice([-1.0, 1.0], size)
     return sweep.ScanConfig(e_s, e_p, -d31, t_s, t_p, width, length, mirror, volts * sign)
 

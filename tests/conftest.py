@@ -31,30 +31,27 @@ def half(x: float, force: float, a: float, span: float, rigidity: float) -> tupl
     return (y_mirror, dy_mirror) if x <= a else (y_beam, dy_beam)
 
 
-def drive_voltages():
-    """Zero or a magnitude well clear of the denormal range, either sign."""
-    return st.one_of(
-        st.just(0.0),
-        st.floats(min_value=0.01, max_value=200).flatmap(lambda m: st.sampled_from([m, -m])),
-    )
+def signed(magnitudes):
+    """A magnitude drawn by `magnitudes`, of either sign."""
+    return magnitudes.flatmap(lambda m: st.sampled_from([m, -m]))
 
 
-def physical_designs(d31_nonzero: bool = False, voltages=None):
-    """Hypothesis strategy for designs within physical bounds, driven by drive_voltages()
-    unless another voltage strategy is given."""
-    magnitudes = st.floats(min_value=1e-12, max_value=500e-12).flatmap(
-        lambda m: st.sampled_from([m, -m])
-    )
-    d31 = magnitudes if d31_nonzero else st.one_of(st.just(0.0), magnitudes)
-    return st.builds(
-        ScanConfig,
-        substrate_E=st.floats(min_value=10e9, max_value=500e9),
-        piezo_E=st.floats(min_value=10e9, max_value=500e9),
-        d31=d31,
-        substrate_t=st.floats(min_value=0.2e-6, max_value=20e-6),
-        piezo_t=st.floats(min_value=0.2e-6, max_value=20e-6),
-        beam_width=st.floats(min_value=5e-6, max_value=200e-6),
-        beam_length=st.floats(min_value=100e-6, max_value=2000e-6),
-        mirror_side=st.floats(min_value=50e-6, max_value=1000e-6),
-        voltage=drive_voltages() if voltages is None else voltages,
-    )
+# The voltage of each named drive, as a function of the strategy of its magnitude.
+DRIVES = {
+    "zero or signed": lambda magnitudes: st.one_of(st.just(0.0), signed(magnitudes)),
+    "signed nonzero": signed,
+    "positive": lambda magnitudes: magnitudes,
+}
+
+
+def physical_designs(d31_nonzero: bool = False, drive: str = "zero or signed"):
+    """Hypothesis strategy for designs in verification.PHYSICAL_RANGES: d31 of either sign,
+    or zero unless d31_nonzero, and the voltage as the named drive of DRIVES gives it."""
+    from piezoscanner.verification import PHYSICAL_RANGES  # numpy loads only for the draws
+
+    fields = {name: st.floats(min_value=lo, max_value=hi)
+              for name, (lo, hi) in zip(ScanConfig._fields, PHYSICAL_RANGES)}
+    d31 = signed(fields["d31"])
+    fields["d31"] = d31 if d31_nonzero else st.one_of(st.just(0.0), d31)
+    fields["voltage"] = DRIVES[drive](fields["voltage"])
+    return st.builds(ScanConfig, **fields)

@@ -581,6 +581,21 @@ class TestNonFiniteResults:
                 assert ",error: " in row
 
 
+def test_readme_pins_pass_without_numpy():
+    """tests/conftest.py loads, and the README byte pins pass, where numpy cannot be
+    imported: conftest imports verification, and numpy with it, only inside the helpers
+    that need it."""
+    tests = pathlib.Path(__file__).parent
+    src = os.path.dirname(os.path.dirname(piezoscanner.__file__))
+    probe = ("import sys; sys.modules['numpy'] = None; import pytest; "
+             "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', sys.argv[1]]))")
+    result = subprocess.run(
+        [sys.executable, "-c", probe, "tests/test_cli.py::test_readme_bytes_pinned"],
+        cwd=tests.parent, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert " passed" in result.stdout and "skipped" not in result.stdout
+
+
 @pytest.mark.parametrize("flags", [(), ("-S",)], ids=["site", "no-site"])
 def test_cli_import_loads_no_scipy(config_path, tmp_path, flags):
     """Neither scipy nor numpy loads for the import or any command but verify, nor array,

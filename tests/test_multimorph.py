@@ -11,6 +11,7 @@ from piezoscanner.multimorph import check_stack, end_force, section
 from piezoscanner.scanner import solve_scanner
 from piezoscanner.sweep import ScanConfig, reference_config
 from piezoscanner.verification import (
+    PHYSICAL_RANGES,
     layer_rigidity,
     pipeline_force,
     piezo_strains,
@@ -19,7 +20,7 @@ from piezoscanner.verification import (
     tip_deflection,
 )
 
-from conftest import physical_designs
+from conftest import DRIVES, physical_designs
 
 # Frozen reference values for Scanner A at 50 V, computed from an
 # independent assembly and solve of the equilibrium/continuity equations
@@ -131,7 +132,7 @@ class TestTipDeflection:
         y2 = tip_deflection(SCANNER_A._replace(voltage=50.0))
         assert y2 == pytest.approx(2 * y1, rel=1e-12)
 
-    @given(design=physical_designs(voltages=st.floats(min_value=0.1, max_value=200)))
+    @given(design=physical_designs(drive="positive"))
     def test_voltage_negation(self, design):
         assert tip_deflection(design._replace(voltage=-design.voltage)) == pytest.approx(
             -tip_deflection(design), rel=1e-12, abs=0.0
@@ -212,8 +213,7 @@ class TestEquivalentForce:
         assert force == force_of(design)
         assert abs(pipeline_force(design, rigidity) - force) <= 1e-12 * max(abs(force), 1e-300)
 
-    @given(design=physical_designs(d31_nonzero=True,
-                                   voltages=st.floats(min_value=0.1, max_value=200)))
+    @given(design=physical_designs(d31_nonzero=True, drive="positive"))
     def test_linearity_in_d31(self, design):
         doubled = design._replace(d31=2 * design.d31)
         assert force_of(doubled) == pytest.approx(2 * force_of(design), rel=1e-9)
@@ -240,6 +240,32 @@ class TestBatchedReference:
         assert np.array_equal(bits(pipeline_force(drawn, np.array(rigidities))),
                               bits([pipeline_force(design, rigidity)
                                     for design, rigidity in zip(designs, rigidities)]))
+
+
+class TestPhysicalDomain:
+    """Every physical draw stays in PHYSICAL_RANGES, d31 and the voltage as magnitudes,
+    with the signs and the zeros that its options name."""
+
+    def test_random_design_in_domain(self):
+        drawn = random_design(np.random.default_rng(20261024), 10_000)
+        for field, values, (lo, hi) in zip(ScanConfig._fields, drawn, PHYSICAL_RANGES):
+            magnitudes = np.abs(values) if field in ("d31", "voltage") else values
+            assert np.all((lo <= magnitudes) & (magnitudes <= hi)), field
+        assert np.all(drawn.d31 < 0)
+        assert np.any(drawn.voltage < 0) and np.any(drawn.voltage > 0)
+
+    @pytest.mark.parametrize("drive", sorted(DRIVES))
+    @pytest.mark.parametrize("d31_nonzero", [False, True])
+    @given(data=st.data())
+    def test_physical_designs_in_domain(self, d31_nonzero, drive, data):
+        design = data.draw(physical_designs(d31_nonzero, drive))
+        zero_allowed = {"d31": not d31_nonzero, "voltage": drive == "zero or signed"}
+        for field, value, (lo, hi) in zip(ScanConfig._fields, design, PHYSICAL_RANGES):
+            if field in zero_allowed:
+                assert lo <= abs(value) <= hi or (value == 0.0 and zero_allowed[field]), field
+            else:
+                assert lo <= value <= hi, field
+        assert design.voltage > 0 or drive != "positive"
 
 
 @pytest.mark.parametrize("substrate_t", [0.0, math.nan])

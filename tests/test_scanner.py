@@ -8,19 +8,18 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from piezoscanner.multimorph import OutOfRangeError, check_stack, end_force, section
 from piezoscanner.scanner import (
     _beam, _slope, check_mirror, profile_points, solve_scanner, statics,
 )
-from piezoscanner import sweep
+from piezoscanner import sweep, verification
 from piezoscanner.sweep import (
     AXES, ScanConfig, SweepSpec, optimize_1d, reference_config, sweep_points,
 )
 from piezoscanner.verification import branches
 
-from conftest import Solution, drive_voltages, half, physical_designs, sampled
+from conftest import Solution, half, physical_designs, sampled
 
 # Scanner A: reference_config(), a 300 um mirror at 50 V. Frozen values computed by
 # evaluating the reaction/tilt/extremum formulas independently (quadratic
@@ -39,16 +38,13 @@ def scanner_a(voltage: float):
     return reference_config()._replace(voltage=voltage)
 
 
-# (force, a, span, rigidity) quadruples within physical bounds
 def load_cases():
-    return st.tuples(
-        st.floats(min_value=1e-7, max_value=1e-3).flatmap(
-            lambda m: st.sampled_from([m, -m])
-        ),
-        st.floats(min_value=10e-6, max_value=500e-6),
-        st.floats(min_value=100e-6, max_value=2000e-6),
-        st.floats(min_value=1e-12, max_value=1e-8),
-    ).map(lambda t: (t[0], t[1], t[1] + t[2], t[3]))
+    """(force, a, span, rigidity) of the solves of physical designs under a nonzero drive."""
+    def load(design):
+        force, rigidity, a, span, *_ = solve_scanner(*design)
+        return force, a, span, rigidity
+
+    return physical_designs(d31_nonzero=True, drive="signed nonzero").map(load)
 
 
 class TestReaction:
@@ -225,8 +221,7 @@ class TestSolveScanner:
         for (_, y1), (_, y2) in zip(profile, reversed(profile)):
             assert y1 == -y2
 
-    @given(design=physical_designs(d31_nonzero=True,
-                                   voltages=drive_voltages().filter(lambda v: v != 0.0)))
+    @given(design=physical_designs(d31_nonzero=True, drive="signed nonzero"))
     def test_physical_design_finite_and_signed(self, design):
         sol, profile = sampled(design, 41)
         values = [sol.force, sol.rigidity, sol.reaction, sol.tilt_signed, sol.y_max]
@@ -358,14 +353,14 @@ def reference_outcome(reference, *args):
     return result
 
 
-# Physical bounds of each ScanConfig field, in its order.
-PHYSICAL_RANGES = ((10e9, 500e9), (10e9, 500e9), (-500e-12, 500e-12), (0.2e-6, 20e-6),
-                   (0.2e-6, 20e-6), (5e-6, 200e-6), (100e-6, 2000e-6), (10e-6, 1000e-6),
-                   (-200.0, 200.0))
+# verification.PHYSICAL_RANGES with d31 and the voltage drawn uniform through zero, in
+# ScanConfig's field order.
+SIGNED_RANGES = tuple((-hi, hi) if field in ("d31", "voltage") else (lo, hi)
+                      for field, (lo, hi) in zip(ScanConfig._fields, verification.PHYSICAL_RANGES))
 
 
 def physical_design(rng):
-    return ScanConfig(*(rng.uniform(lo, hi) for lo, hi in PHYSICAL_RANGES))
+    return ScanConfig(*(rng.uniform(lo, hi) for lo, hi in SIGNED_RANGES))
 
 
 def extreme_value(rng):
@@ -438,7 +433,7 @@ OPTIMIZER_PINS = {
 def optimizer_specs():
     rng = random.Random(1414)
     for axis in sorted(AXES):
-        lo, hi = PHYSICAL_RANGES[ScanConfig._fields.index(AXES[axis])]
+        lo, hi = SIGNED_RANGES[ScanConfig._fields.index(AXES[axis])]
         for objective in ("tilt", "y_max"):
             start, stop = sorted(rng.uniform(lo, hi) for _ in range(2))
             yield SweepSpec(physical_design(rng), axis, start, stop, 64), objective
@@ -455,7 +450,7 @@ def sweep_spec(rng, base, axis, physical):
     """A 40-step sweep of one axis of base: over the axis's physical range from a physical
     base, or between two extreme values from an extreme one."""
     if physical:
-        return SweepSpec(base, axis, *PHYSICAL_RANGES[ScanConfig._fields.index(AXES[axis])], 40)
+        return SweepSpec(base, axis, *SIGNED_RANGES[ScanConfig._fields.index(AXES[axis])], 40)
     while True:
         start, stop = sorted(extreme_value(rng) for _ in range(2))
         try:
