@@ -35,8 +35,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value: float) -> str:
-    """Render a number with 9 significant digits."""
-    return f"{value:.9g}"
+    """Render a number with 9 significant digits, in the format of every CSV row template."""
+    return "%.9g" % value
 
 
 def _write_atomic(path: str, header: str, pieces) -> None:
@@ -66,7 +66,7 @@ def _profile_rows(points):
     """The profile CSV's rows of (u, y) points in SI, in µm, 1,024 rows to one format."""
     points = iter(points)
     while values := tuple(v * 1e6 for point in itertools.islice(points, 1024) for v in point):
-        yield ("%.9g,%.9g\n" * (len(values) // 2)) % values  # "%.9g" renders floats as _fmt does
+        yield ("%.9g,%.9g\n" * (len(values) // 2)) % values
 
 
 def _load_config(path: str) -> sweep_mod.ScanConfig:
@@ -123,9 +123,7 @@ def _sweep_row(axis: str, value: float, tilt_deg: float, y_max: float, force: fl
     if status == "ok":
         cells = (tilt_deg, y_max * 1e6, abs(force) * 1e6, reaction * 1e6)
         try:
-            # A sum with an inf or nan term is not finite: only such a row needs the check.
-            if not math.isfinite(tilt_deg + cells[1] + cells[2] + cells[3]):
-                _check_csv_units(cells)
+            _check_csv_units(cells)
         except ValueError as exc:
             status = str(exc)
         else:

@@ -22,24 +22,6 @@ class OutOfRangeError(ValueError):
         super().__init__(f"{stage}: {cause}; the design is outside double-precision range")
 
 
-class MultimorphStack(namedtuple("MultimorphStack", ("substrate_E", "substrate_t", "piezo_E",
-                                                     "piezo_t", "d31", "width", "length"))):
-    """Geometry and constants of the substrate + 2 piezo layer stack.
-
-    Both piezoelectric layers share ``piezo_t`` and ``piezo_E``. All values
-    are SI: Pa, m, m/V. No model path builds one: perfbench's oracle op
-    binds it, and one test class checks it. Every construction, ``_replace``
-    included, runs :func:`check_stack` as the model does.
-    """
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # _replace builds through _make
-
-    def __new__(cls, substrate_E, substrate_t, piezo_E, piezo_t, d31, width, length):
-        check_stack(substrate_E, substrate_t, piezo_E, piezo_t, width, length)
-        return super().__new__(cls, substrate_E, substrate_t, piezo_E, piezo_t, d31, width, length)
-
-
 def check_stack(substrate_E: float, substrate_t: float, piezo_E: float, piezo_t: float,
                 width: float, length: float) -> None:
     """Raise ValueError, naming the first field in this order that is not > 0."""
@@ -95,10 +77,10 @@ def section(substrate_E: float, substrate_t: float, piezo_E: float, piezo_t: flo
     return h_eq, i_eq, e_ref, e_ref * i_eq
 
 
-def equivalent_section(stack: MultimorphStack) -> EquivalentSection:
-    """The stack's :func:`section`. No model path calls this; perfbench's oracle op does."""
-    return EquivalentSection(*section(stack.substrate_E, stack.substrate_t, stack.piezo_E,
-                                      stack.piezo_t, stack.width))
+def equivalent_section(design) -> EquivalentSection:
+    """A ScanConfig's :func:`section`. No model path calls this; perfbench's oracle op does."""
+    return EquivalentSection(*section(design.substrate_E, design.substrate_t, design.piezo_E,
+                                      design.piezo_t, design.beam_width))
 
 
 def end_force(width: float, piezo_t: float, piezo_E: float, d31: float, voltage: float,
@@ -112,6 +94,7 @@ def end_force(width: float, piezo_t: float, piezo_E: float, d31: float, voltage:
     return 1.5 * width * piezo_t * piezo_E * d31 * voltage / length
 
 
-def equivalent_force(stack: MultimorphStack, voltage: float) -> float:
-    """The stack's :func:`end_force`. No model path calls this; perfbench's oracle op does."""
-    return end_force(stack.width, stack.piezo_t, stack.piezo_E, stack.d31, voltage, stack.length)
+def equivalent_force(design, voltage: float) -> float:
+    """A ScanConfig's :func:`end_force`. No model path calls this; perfbench's oracle op does."""
+    return end_force(design.beam_width, design.piezo_t, design.piezo_E, design.d31, voltage,
+                     design.beam_length)

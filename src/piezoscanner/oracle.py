@@ -19,10 +19,6 @@ import numpy as np
 from . import scanner
 
 
-class OracleSingularError(ValueError):
-    pass
-
-
 class BeamProblem(namedtuple("BeamProblem", ("span", "a", "force", "rigidity", "nodes"))):
     """Half-span propped beam with rigid segment [0, a] and clamp at L; checked when built."""
 
@@ -94,7 +90,7 @@ def _solve_superposed(grid, h, curvature_coeff, a_snapped, force):
 
     denom = clamp_slope(y_unit)
     if denom == 0:
-        raise OracleSingularError("clamp condition does not determine the reaction")
+        raise ValueError("clamp condition does not determine the reaction")
     r = -clamp_slope(y_load) / denom
     return y_load + r * y_unit, r
 

@@ -24,34 +24,8 @@ unless it underflows to 0, which :func:`statics` meets as a division by zero.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 
 from .multimorph import OutOfRangeError, check_stack, end_force, section
-
-
-class ScannerGeometry(namedtuple("ScannerGeometry", ("stack", "mirror_side"))):
-    """Mirror plus multimorph half-device geometry.
-
-    a is the support-to-junction distance (half the mirror side);
-    half_span = a + beam length. No model path builds one: perfbench's oracle
-    op binds it, and one test class checks it. Every construction runs
-    :func:`check_mirror` as the model does.
-    """
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # _replace builds through _make
-
-    def __new__(cls, stack, mirror_side):
-        check_mirror(mirror_side, stack.length)
-        return super().__new__(cls, stack, mirror_side)
-
-    @property
-    def a(self) -> float:
-        return self.mirror_side / 2
-
-    @property
-    def half_span(self) -> float:
-        return self.a + self.stack.length
 
 
 def check_mirror(mirror_side: float, length: float) -> tuple[float, float]:

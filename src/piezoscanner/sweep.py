@@ -6,8 +6,10 @@ import math
 from collections import namedtuple
 
 from . import materials
-from .multimorph import MultimorphStack
-from .scanner import ScannerGeometry, _geometry, _solve
+from .multimorph import check_stack
+from .scanner import _geometry, _solve, check_mirror
+
+_OracleBinding = namedtuple("OracleBinding", ("stack", "a", "half_span"))
 
 
 class ScanConfig(namedtuple("ScanConfig", ("substrate_E", "piezo_E", "d31", "substrate_t",
@@ -17,19 +19,12 @@ class ScanConfig(namedtuple("ScanConfig", ("substrate_E", "piezo_E", "d31", "sub
 
     __slots__ = ()
 
-    def geometry(self) -> ScannerGeometry:
-        """The design as the stack and mirror carriers. No model path calls this:
-        perfbench's oracle op binds it."""
-        stack = MultimorphStack(
-            substrate_E=self.substrate_E,
-            substrate_t=self.substrate_t,
-            piezo_E=self.piezo_E,
-            piezo_t=self.piezo_t,
-            d31=self.d31,
-            width=self.beam_width,
-            length=self.beam_length,
-        )
-        return ScannerGeometry(stack=stack, mirror_side=self.mirror_side)
+    def geometry(self) -> _OracleBinding:
+        """(stack, a, half_span): this design, checked as the solve checks it, and its half
+        mirror and half span. No model path calls this: perfbench's oracle op binds it."""
+        check_stack(self.substrate_E, self.substrate_t, self.piezo_E, self.piezo_t,
+                    self.beam_width, self.beam_length)
+        return _OracleBinding(self, *check_mirror(self.mirror_side, self.beam_length))
 
 
 def reference_config() -> ScanConfig:

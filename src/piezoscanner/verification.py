@@ -38,10 +38,6 @@ import numpy as np
 from . import oracle, scanner, sweep
 
 
-class SingularSystemError(ValueError):
-    pass
-
-
 def piezo_strains(design) -> tuple[float, float]:
     """(s1, s2), the drive strains of the lower and upper layer at the design's voltage,
     for opposite-polarity actuation."""
@@ -86,7 +82,7 @@ def solve_curvature(design):
     try:
         solution = np.linalg.solve(a, b)[..., 0]
     except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"degenerate stack: {exc}") from exc
+        raise ValueError(f"degenerate stack: {exc}") from exc
     return tuple(np.moveaxis(solution, -1, 0))
 
 

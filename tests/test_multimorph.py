@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from piezoscanner import multimorph, scanner
+from piezoscanner import multimorph
 from piezoscanner.multimorph import check_stack, end_force, section
 from piezoscanner.scanner import solve_scanner
 from piezoscanner.sweep import ScanConfig, reference_config
@@ -278,30 +278,29 @@ def test_invalid_stack_rejected(substrate_t):
 
 
 class TestCarriers:
-    """MultimorphStack, ScannerGeometry, EquivalentSection, equivalent_section,
-    equivalent_force and ScanConfig.geometry: no model path uses them, and perfbench's
-    oracle op binds them. Their contract is checked here, and only here."""
+    """ScanConfig.geometry, EquivalentSection, equivalent_section and equivalent_force: no
+    model path uses them, and perfbench's oracle op binds them. Their contract is checked
+    here, and only here."""
 
-    @pytest.mark.parametrize("substrate_t", [0.0, math.nan])
-    def test_stack_construction_and_replace_checked(self, substrate_t):
-        with pytest.raises(ValueError, match="^substrate_t must be > 0$"):
-            multimorph.MultimorphStack(
-                substrate_E=169e9, substrate_t=substrate_t, piezo_E=60e9, piezo_t=1e-6,
-                d31=-274e-12, width=30e-6, length=850e-6,
-            )
-        with pytest.raises(ValueError, match="^substrate_t must be > 0$"):
-            SCANNER_A.geometry().stack._replace(substrate_t=substrate_t)
-
-    @pytest.mark.parametrize("mirror_side", [0.0, math.nan, 5e-324])
-    def test_geometry_construction_and_replace_checked(self, mirror_side):
+    @pytest.mark.parametrize("changes, error, text", [
+        ({"substrate_t": 0.0}, ValueError, "substrate_t must be > 0"),
+        ({"substrate_t": math.nan}, ValueError, "substrate_t must be > 0"),
+        ({"mirror_side": 0.0}, ValueError, "mirror_side must be > 0"),
+        ({"mirror_side": math.nan}, ValueError, "mirror_side must be > 0"),
         # 5e-324 m is a valid length, but it halves to a = 0.
-        error = multimorph.OutOfRangeError if mirror_side > 0 else ValueError
-        stack = SCANNER_A.geometry().stack
-        with pytest.raises(error) as built:
-            scanner.ScannerGeometry(stack=stack, mirror_side=mirror_side)
-        geometry = scanner.ScannerGeometry(stack=stack, mirror_side=300e-6)
-        with pytest.raises(error, match=f"^{re.escape(str(built.value))}$"):
-            geometry._replace(mirror_side=mirror_side)
+        ({"mirror_side": 5e-324}, multimorph.OutOfRangeError,
+         "mirror half side: a mirror side of 5e-324 m halves to a = 0; "
+         "the design is outside double-precision range"),
+        ({"substrate_t": 0.0, "mirror_side": 0.0}, ValueError, "substrate_t must be > 0"),
+    ], ids=["substrate_t-0.0", "substrate_t-nan", "mirror_side-0.0", "mirror_side-nan",
+            "mirror_side-5e-324", "substrate_t-and-mirror_side-0.0"])
+    def test_geometry_raises_first_failing_check(self, changes, error, text):
+        """geometry() checks the stack, then the mirror, as the solve does."""
+        design = SCANNER_A._replace(**changes)
+        for call in (design.geometry, lambda: solve_scanner(*design)):
+            with pytest.raises(error, match=f"^{re.escape(text)}$") as raised:
+                call()
+            assert type(raised.value) is error
 
     def test_oracle_op_binding_is_the_solve(self):
         """perfbench's oracle op, its expressions verbatim, reads the bits of the solve's
@@ -310,6 +309,7 @@ class TestCarriers:
         for fields in np.column_stack(drawn).tolist():
             design = ScanConfig(*fields)
             geometry = design.geometry()
+            assert geometry.stack is design
             force = multimorph.equivalent_force(geometry.stack, design.voltage)
             rigidity = multimorph.equivalent_section(geometry.stack).rigidity
             bound = (force, rigidity, geometry.a, geometry.half_span)
