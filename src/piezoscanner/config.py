@@ -102,7 +102,8 @@ def _material(section: str, raw: dict[str, str]) -> tuple[float, float | None]:
 def parse_config(text: str) -> ScanConfig:
     """Parse and validate a config document. Raises ConfigError."""
     parser = configparser.ConfigParser(
-        strict=True, interpolation=None, delimiters=("=",), comment_prefixes=("#",)
+        strict=True, interpolation=None, delimiters=("=",), comment_prefixes=("#",),
+        default_section="",  # a [] header never parses, so [DEFAULT] is an unknown section
     )
     parser.optionxform = str  # keys are case-sensitive
     try:

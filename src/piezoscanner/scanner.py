@@ -10,11 +10,11 @@ equivalent rigidity.
 
 :func:`solve_scanner` is the model's one solve of a design, on the plain
 floats of its fields: `model`, `profile` and `verify`'s oracle checks call
-it, and the sweeps, the optimizer and `table1` call the private solve
-behind it, passing in the rigidity or the geometry factors that their axis
-leaves unchanged. The statics split into a geometry part, the factors that
-depend on (a, span) alone, and a load part that scales them, the one place
-that computes the reaction, tilt and y_max (see :func:`statics`).
+it. The sweeps, the optimizer and `table1` solve a point in one step of
+:mod:`piezoscanner.sweep`, which repeats its operations inline and calls it
+for a point that fails. The statics split into a geometry part, the factors
+that depend on (a, span) alone, and a load part that scales them, the one
+place that computes the reaction, tilt and y_max (see :func:`statics`).
 :func:`check_mirror` is the model's one check of the half-beam geometry,
 and :class:`piezoscanner.oracle.BeamProblem` the oracle's. The closed forms
 assume 0 < a < span and rigidity > 0. A stack's rigidity is positive
@@ -83,7 +83,8 @@ def _beam(x, slope, a, span):
 
 
 def _load(force: float, a: float, rigidity: float, geometry) -> tuple[float, float, float, float]:
-    """statics' (reaction, tilt_signed, y_max, x_at_ymax) from the factors of :func:`_geometry`."""
+    """statics' (reaction, tilt_signed, y_max, x_at_ymax) from the factors of :func:`_geometry`.
+    The step of :func:`piezoscanner.sweep._stepper` repeats these operations inline, in order."""
     ratio, l3, q, y_factor, x_star = geometry
     try:
         slope = force * a * l3 / (4 * rigidity * q)
@@ -141,32 +142,11 @@ def solve_scanner(substrate_E: float, piezo_E: float, d31: float, substrate_t: f
     raises the stack's error. Nothing is sampled; :func:`profile_points`
     samples the profile.
     """
-    return _solve((substrate_E, piezo_E, d31, substrate_t, piezo_t, beam_width, beam_length,
-                   mirror_side, voltage), None, None)
-
-
-def _solve(fields, rigidity, geometry):
-    """:func:`solve_scanner` of the nine field values in fields, given the design's section
-    rigidity and :func:`_geometry` factors, or None for either to compute it here.
-
-    The checks are one test; only a design that fails it goes through
-    check_stack, then check_mirror, which raise the first failure's error.
-    """
-    (substrate_E, piezo_E, d31, substrate_t, piezo_t, beam_width, beam_length, mirror_side,
-     voltage) = fields
-    a = mirror_side / 2
-    span = a + beam_length
-    if not (substrate_E > 0 and substrate_t > 0 and piezo_E > 0 and piezo_t > 0 and beam_width > 0
-            and beam_length > 0 and mirror_side > 0 and 0 < a < span):
-        check_stack(substrate_E, substrate_t, piezo_E, piezo_t, beam_width, beam_length)
-        a, span = check_mirror(mirror_side, beam_length)
+    check_stack(substrate_E, substrate_t, piezo_E, piezo_t, beam_width, beam_length)
+    a, span = check_mirror(mirror_side, beam_length)
     force = end_force(beam_width, piezo_t, piezo_E, d31, voltage, beam_length)
-    if rigidity is None:
-        rigidity = section(substrate_E, substrate_t, piezo_E, piezo_t, beam_width)[3]
-    if geometry is None:
-        geometry = _geometry(a, span)
-    r_a, tilt_signed, y_max, x_at = _load(force, a, rigidity, geometry)
-    return force, rigidity, a, span, r_a, tilt_signed, y_max, x_at
+    rigidity = section(substrate_E, substrate_t, piezo_E, piezo_t, beam_width)[3]
+    return (force, rigidity, a, span, *statics(force, a, span, rigidity))
 
 
 def profile_points(samples: int, force: float, a: float, span: float, rigidity: float):

@@ -6,8 +6,8 @@ import math
 from collections import namedtuple
 
 from . import materials
-from .multimorph import check_stack
-from .scanner import _geometry, _solve, check_mirror
+from .multimorph import check_stack, section
+from .scanner import _geometry, check_mirror, solve_scanner
 
 _OracleBinding = namedtuple("OracleBinding", ("stack", "a", "half_span"))
 
@@ -93,48 +93,67 @@ class SweepRecord(namedtuple("SweepRecord", ("param_value", "tilt_deg", "y_max_m
 
 
 def _stepper(base: ScanConfig, field: str):
-    """A function that solves base with field set to its argument, as solve_scanner does.
+    """A function step(value) that solves base with field set to value, as solve_scanner
+    does, and gives the point's SweepRecord fields as a tuple.
 
-    From the first point that solves, it reuses the rigidity and the geometry
-    factors, each unless field is one that sets it, so a reused part has the
-    bits of computing it again.
+    The step runs solve_scanner's checks as one test, then repeats the operations of
+    end_force and of _load inline and in order, as profile_points does for _beam;
+    test_hoisted_sweeps_match_reference_bit_for_bit holds it to their bits. It calls
+    section and _geometry only while it keeps no result of them: from the first point
+    that computes one, it keeps the rigidity and the geometry factors, each unless field
+    is one that sets it, so a kept part has the bits of computing it again. A point that
+    fails the test, raises, or has a non-finite result goes through solve_scanner, and
+    the error text that it raises is the point's status.
     """
     design = list(base)
     index = base._fields.index(field)
     keep_rigidity = field not in ("substrate_E", "substrate_t", "piezo_E", "piezo_t", "beam_width")
     keep_geometry = field not in ("beam_length", "mirror_side")
     rigidity = geometry = None
+    atan, degrees, isfinite, nan = math.atan, math.degrees, math.isfinite, math.nan
 
     def step(value):
         nonlocal rigidity, geometry
         design[index] = value
-        solution = _solve(design, rigidity, geometry)
-        if keep_rigidity and rigidity is None:
-            rigidity = solution[1]
-        if keep_geometry and geometry is None:
-            geometry = _geometry(solution[2], solution[3])
-        return solution
+        (substrate_E, piezo_E, d31, substrate_t, piezo_t, beam_width, beam_length, mirror_side,
+         voltage) = design
+        a = mirror_side / 2
+        span = a + beam_length
+        if (substrate_E > 0 and substrate_t > 0 and piezo_E > 0 and piezo_t > 0 and beam_width > 0
+                and beam_length > 0 and mirror_side > 0 and 0 < a < span):
+            force = 1.5 * beam_width * piezo_t * piezo_E * d31 * voltage / beam_length
+            try:
+                stiffness = rigidity
+                if stiffness is None:
+                    stiffness = section(substrate_E, substrate_t, piezo_E, piezo_t, beam_width)[3]
+                    if keep_rigidity:
+                        rigidity = stiffness
+                factors = geometry
+                if factors is None:
+                    factors = _geometry(a, span)
+                    if keep_geometry:
+                        geometry = factors
+                ratio, l3, q, y_factor, _ = factors
+                slope = force * a * l3 / (4 * stiffness * q)
+                r_a = 0.0 - force * ratio
+                tilt_signed = atan(slope)
+                y_max = abs(slope) * y_factor
+                if isfinite(force + stiffness + r_a + tilt_signed + y_max):
+                    return value, degrees(abs(tilt_signed)), y_max, force, r_a, "ok"
+            except (ArithmeticError, ValueError):
+                pass
+        try:
+            force, _, _, _, r_a, tilt_signed, y_max, _ = solve_scanner(*design)
+        except ValueError as exc:
+            return value, nan, nan, nan, nan, str(exc)
+        return value, degrees(abs(tilt_signed)), y_max, force, r_a, "ok"
 
     return step
 
 
-def _points(step, values):
-    """SweepRecord fields, as tuples, of each value's solve by step, in turn.
-
-    A failed point's status is the error text that the solve raises.
-    """
-    for value in values:
-        try:
-            force, _, _, _, r_a, tilt_signed, y_max, _ = step(value)
-        except ValueError as exc:
-            yield value, math.nan, math.nan, math.nan, math.nan, str(exc)
-        else:
-            yield value, math.degrees(abs(tilt_signed)), y_max, force, r_a, "ok"
-
-
 def sweep_points(spec: SweepSpec):
     """The sweep grid's SweepRecord fields, as tuples, one point at a time."""
-    return _points(_stepper(spec.base, AXES[spec.axis]), spec.grid())
+    return map(_stepper(spec.base, AXES[spec.axis]), spec.grid())
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
@@ -144,7 +163,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     rather than dropped; every evaluation is pure, so the result does not
     depend on evaluation order.
     """
-    return [SweepRecord(*point) for point in sweep_points(spec)]
+    return list(map(SweepRecord._make, sweep_points(spec)))
 
 
 _OBJECTIVES = ("tilt", "y_max")
@@ -165,9 +184,9 @@ def optimize_1d(spec: SweepSpec, objective: str = "tilt") -> tuple[float, float]
     if objective not in _OBJECTIVES:
         raise ValueError(f"objective must be one of {_OBJECTIVES}")
 
-    column = 1 if objective == "tilt" else 2  # of a sweep_points tuple
+    column = 1 if objective == "tilt" else 2  # of a step's tuple
     step = _stepper(spec.base, AXES[spec.axis])
-    grid = [(point[0], point[column]) for point in _points(step, spec.grid()) if point[5] == "ok"]
+    grid = [(point[0], point[column]) for point in map(step, spec.grid()) if point[5] == "ok"]
     if not grid:
         raise ValueError("no feasible point on the sweep grid")
 
@@ -183,11 +202,10 @@ def optimize_1d(spec: SweepSpec, objective: str = "tilt") -> tuple[float, float]
         return best_x, best_f
 
     def objective_at(value: float) -> float:
-        try:
-            _, _, _, _, _, tilt_signed, y_max, _ = step(value)
-        except ValueError as exc:
-            raise ValueError(f"objective undefined at {value}: {exc}") from exc
-        return math.degrees(abs(tilt_signed)) if column == 1 else y_max
+        point = step(value)
+        if point[5] != "ok":
+            raise ValueError(f"objective undefined at {value}: {point[5]}")
+        return point[column]
 
     # Golden-section interior maximization on [lo, hi].
     a, b = lo, hi
@@ -218,5 +236,5 @@ TABLE1_BEAM_LENGTHS = (850e-6, 600e-6, 500e-6)
 
 def table1() -> list[SweepRecord]:
     """The three reference designs: 850/600/500 um beams, 30 um wide, 50 V."""
-    return [SweepRecord(*point)
-            for point in _points(_stepper(reference_config(), "beam_length"), TABLE1_BEAM_LENGTHS)]
+    return list(map(SweepRecord._make,
+                    map(_stepper(reference_config(), "beam_length"), TABLE1_BEAM_LENGTHS)))

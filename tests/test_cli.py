@@ -181,6 +181,20 @@ class TestModelCommand:
         assert run(["model", "--config", str(bad), "--out", str(tmp_path / "m.csv")]) == 1
         assert capsys.readouterr().err.startswith("config: unknown material")
 
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\n" + SCANNER_A_CFG,
+        "[DEFAULT]\nvoltage_V = 50\n" + SCANNER_A_CFG.replace("voltage_V = 50\n", ""),
+    ], ids=["empty", "voltage-under-default"])
+    def test_default_section_is_unknown(self, tmp_path, capsys, text):
+        """[DEFAULT] is a section like any other, so it is unknown, and its keys are not
+        copied into the sections that lack them."""
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text)
+        out = tmp_path / "m.csv"
+        assert run(["model", "--config", str(bad), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "config: unknown section [DEFAULT]\n"
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("length_um, summary", [
     ("1e76", "y_max_um=2.23229547e+73 x_at_ymax_um=3.33333333e+75"),

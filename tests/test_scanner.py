@@ -504,29 +504,78 @@ def test_hoisted_sweeps_match_reference_bit_for_bit():
 
 
 def test_optimizer_steps_match_reference_bit_for_bit(monkeypatch):
-    """Every grid point and golden-section step of optimize_1d, whose solves reuse the
-    parts their axis leaves unchanged, gives reference_solve's bits or its exact exception."""
+    """Every grid point and golden-section step of optimize_1d, whose step keeps the parts
+    its axis leaves unchanged, gives reference_solve's bits or its exact error text."""
     steps = []
-    solve = sweep._solve
+    stepper = sweep._stepper
 
-    def checked_solve(fields, rigidity, geometry):
-        design = tuple(fields)
-        steps.append((rigidity, geometry))
-        expected = reference_outcome(reference_solve, *design)
-        try:
-            result = solve(fields, rigidity, geometry)
-        except Exception as exc:  # the exception type is part of what is compared
-            assert (type(exc), str(exc)) == expected, design
-            raise
-        assert [value.hex() for value in result] == expected, design
-        return result
+    def checked_stepper(base, field):
+        step = stepper(base, field)
 
-    monkeypatch.setattr(sweep, "_solve", checked_solve)
+        def checked_step(value):
+            point = step(value)
+            got_value, *cells, status = point
+            got = [cell.hex() for cell in cells] if status == "ok" else status
+            assert got_value is value
+            assert got == record_outcome(base._replace(**{field: value})), (base, field, value)
+            steps.append(value)
+            return point
+
+        return checked_step
+
+    monkeypatch.setattr(sweep, "_stepper", checked_stepper)
     for spec, objective in optimizer_specs():
         optimize_1d(spec, objective)
     assert len(steps) > 12 * 64
-    assert sum(rigidity is not None for rigidity, _ in steps) > 6 * 64
-    assert sum(geometry is not None for _, geometry in steps) > 8 * 64
+
+
+# A 50-point Scanner A sweep per axis, over values that all solve.
+REUSE_SWEEPS = {
+    "voltage": (0.0, 50.0),
+    "beam_length": (100e-6, 2000e-6),
+    "mirror_side": (100e-6, 500e-6),
+    "beam_width": (10e-6, 50e-6),
+    "substrate_thickness": (1e-6, 10e-6),
+    "piezo_thickness": (0.5e-6, 3e-6),
+}
+
+
+def counted_calls(monkeypatch, names):
+    """Count the calls of each of names in sweep's namespace."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(sweep, name, counted(name, getattr(sweep, name)))
+    return calls
+
+
+@pytest.mark.parametrize("axis", sorted(REUSE_SWEEPS))
+def test_step_reuses_what_its_axis_leaves_unchanged(monkeypatch, axis):
+    """A sweep's step computes the section and the geometry factors once where its axis
+    leaves them unchanged, and reaches solve_scanner only for a point that fails."""
+    calls = counted_calls(monkeypatch, ("section", "_geometry", "solve_scanner"))
+    records = sweep.run_sweep(SweepSpec(reference_config(), axis, *REUSE_SWEEPS[axis], 50))
+    assert all(record.ok for record in records)
+    sets_section = AXES[axis] in ("beam_width", "substrate_t", "piezo_t")
+    sets_geometry = axis in ("beam_length", "mirror_side")
+    assert calls == {"section": 50 if sets_section else 1,
+                     "_geometry": 50 if sets_geometry else 1, "solve_scanner": 0}
+
+
+def test_step_solves_failed_points_through_solve_scanner(monkeypatch):
+    """The 21 beam lengths <= 0 fail and each goes through solve_scanner once; the 20 that
+    solve compute the section once and the geometry factors each."""
+    calls = counted_calls(monkeypatch, ("section", "_geometry", "solve_scanner"))
+    records = sweep.run_sweep(SweepSpec(reference_config(), "beam_length", -1e-3, 1e-3, 41))
+    assert [record.status for record in records[:21]] == ["length must be > 0"] * 21
+    assert all(record.ok for record in records[21:])
+    assert calls == {"section": 1, "_geometry": 20, "solve_scanner": 21}
 
 
 # The profile reference: profile_points' body before the left half's ordinates were
