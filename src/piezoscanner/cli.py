@@ -21,8 +21,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
 # Bounds on a command's run time: 10x the largest benchmarked profile and sweep. Both
-# stream their rows. A sweep's memory does not grow with --steps; a profile keeps its
-# left-half ordinates for the right half, 8 bytes a sample, about 8 MB at MAX_SAMPLES.
+# stream their rows 1,024 at a time. A sweep's memory does not grow with --steps; a
+# profile keeps its left-half ordinates in an array for the right half, 8 bytes a sample,
+# about 8 MB at MAX_SAMPLES.
 MAX_SAMPLES = 2_000_001  # profile samples and verify nodes
 MAX_STEPS = 200_000  # sweep points
 
@@ -60,13 +61,6 @@ def _write_atomic(path: str, header: str, pieces) -> None:
             raise
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
-
-
-def _profile_rows(points):
-    """The profile CSV's rows of (u, y) points in SI, in µm, 1,024 rows to one format."""
-    points = iter(points)
-    while values := tuple(v * 1e6 for point in itertools.islice(points, 1024) for v in point):
-        yield ("%.9g,%.9g\n" * (len(values) // 2)) % values
 
 
 def _load_config(path: str) -> sweep_mod.ScanConfig:
@@ -112,8 +106,9 @@ def _cmd_profile(args) -> int:
     solution = scanner.solve_scanner(*config)
     _model_row(*solution)  # every |y| is at most y_max: this bounds the rows in CSV units too
     force, rigidity, a, half_span = solution[:4]
-    points = scanner.profile_points(args.samples, force, a, half_span, rigidity)
-    _write_atomic(args.out, "x_um,y_um", _profile_rows(points))
+    chunks = scanner.profile_chunks(args.samples, force, a, half_span, rigidity)
+    _write_atomic(args.out, "x_um,y_um", (
+        ("%.9g,%.9g\n" * (len(chunk) // 2)) % tuple([v * 1e6 for v in chunk]) for chunk in chunks))
     return EXIT_OK
 
 

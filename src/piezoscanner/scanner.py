@@ -76,7 +76,7 @@ def _slope(force: float, a: float, span: float, rigidity: float) -> float:
 
 def _beam(x, slope, a, span):
     """The beam branch at x (a float or an array) of a design with this mirror slope.
-    :func:`profile_points` repeats these operations inline, in this order."""
+    :func:`profile_chunks` repeats these operations inline, in this order."""
     length = span - a
     u = (x - span) / length
     return slope * u * u * (2 * a * (x - a) / length + x)
@@ -139,7 +139,7 @@ def solve_scanner(substrate_E: float, piezo_E: float, d31: float, substrate_t: f
     given by the field values of :class:`~piezoscanner.sweep.ScanConfig` in its field order.
 
     The stack is checked first, then the mirror, so a design that fails both
-    raises the stack's error. Nothing is sampled; :func:`profile_points`
+    raises the stack's error. Nothing is sampled; :func:`profile_chunks`
     samples the profile.
     """
     check_stack(substrate_E, substrate_t, piezo_E, piezo_t, beam_width, beam_length)
@@ -149,8 +149,9 @@ def solve_scanner(substrate_E: float, piezo_E: float, d31: float, substrate_t: f
     return (force, rigidity, a, span, *statics(force, a, span, rigidity))
 
 
-def profile_points(samples: int, force: float, a: float, span: float, rigidity: float):
-    """Sample the full-device profile of a solved design, yielding (u, y) pairs.
+def profile_chunks(samples: int, force: float, a: float, span: float, rigidity: float):
+    """Sample the full-device profile of a solved design, yielding flat SI lists
+    [u0, y0, u1, y1, ...] of 1,024 rows each, the last one shorter.
 
     u runs from the left anchor (u = 0) through the fixed mirror center
     (u = span) to the right anchor (u = 2 * span); the right half is the
@@ -164,10 +165,11 @@ def profile_points(samples: int, force: float, a: float, span: float, rigidity: 
     sample, about 8 MB at a million. The right half's sample 2 span - u_j
     mirrors it, so its ordinate is exactly -y(u_j) and the antisymmetry is
     exact in floating point, with no second evaluation or check. A non-finite
-    ordinate raises ValueError. The slope is computed at any sample count, so
-    a design the closed forms cannot evaluate fails even with no interior
-    sample; the anchors need no ordinate, as past the slope the beam branch
-    divides only by span - a > 0.
+    ordinate raises ValueError at its chunk: a chunk's sum is tested first, and
+    only a sum that is not finite walks the loop that names the ordinate.
+    The slope is computed at any sample count, so a design the closed forms
+    cannot evaluate fails even with no interior sample; the anchors need no
+    ordinate, as past the slope the beam branch divides only by span - a > 0.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
@@ -178,26 +180,43 @@ def profile_points(samples: int, force: float, a: float, span: float, rigidity: 
     slope = _slope(force, a, span, rigidity)
     length = span - a
     two_a = 2 * a
-    isfinite = math.isfinite
     full = 2 * span
     last = samples - 1
     mid = last // 2
-    left = array("d", (0.0,)) * (mid - 1)  # the ordinate at u = full * j / last is left[j - 1]
-    yield full * 0 / last, 0.0
-    for i in range(1, mid):
-        u = full * i / last
-        x = span - u
-        if x <= a:
-            y = slope * x
-        else:
-            v = (x - span) / length
-            y = slope * v * v * (two_a * (x - a) / length + x)
-        if not isfinite(y):
-            raise ValueError(f"non-finite profile ordinate ({y}) at u={u}")
-        left[i - 1] = y
-        yield u, y + 0.0
-    # full * mid / last can round off span; the center is the fixed support.
-    yield span, 0.0
-    for j, y in zip(range(mid - 1, 0, -1), reversed(left)):
-        yield full - full * j / last, 0.0 - y
-    yield full - full * 0 / last, 0.0
+    left = array("d")  # the ordinate of row i < mid, at u = full * i / last, is left[i]
+    for start in range(0, samples, 1024):
+        stop = min(start + 1024, samples)
+        us = [full * i / last for i in range(max(start, 1), min(stop, mid))]
+        ys = []
+        for u in us:
+            x = span - u
+            if x <= a:
+                y = slope * x
+            else:
+                v = (x - span) / length
+                y = slope * v * v * (two_a * (x - a) / length + x)
+            ys.append(y + 0.0)
+        if not math.isfinite(sum(ys)):
+            for u, y in zip(us, ys):
+                if not math.isfinite(y):
+                    raise ValueError(f"non-finite profile ordinate ({y}) at u={u}")
+        if start == 0:
+            us.insert(0, full * 0 / last)
+            ys.insert(0, 0.0)
+        left.extend(ys)
+        if start <= mid < stop:
+            # full * mid / last can round off span; the center is the fixed support.
+            us.append(span)
+            ys.append(0.0)
+        lo = max(start, mid + 1)  # right-half rows i in [lo, stop), each mirroring row last - i
+        us += [full - full * j / last for j in range(last - lo, last - stop, -1)]
+        ys += [0.0 - y for y in reversed(left[last - stop + 1:last - lo + 1])]
+        chunk = us + ys
+        chunk[::2], chunk[1::2] = us, ys
+        yield chunk
+
+
+def profile_points(samples: int, force: float, a: float, span: float, rigidity: float):
+    """The (u, y) rows of :func:`profile_chunks`, one pair at a time."""
+    for chunk in profile_chunks(samples, force, a, span, rigidity):
+        yield from zip(chunk[::2], chunk[1::2])

@@ -97,7 +97,7 @@ def _stepper(base: ScanConfig, field: str):
     does, and gives the point's SweepRecord fields as a tuple.
 
     The step runs solve_scanner's checks as one test, then repeats the operations of
-    end_force and of _load inline and in order, as profile_points does for _beam;
+    end_force and of _load inline and in order, as profile_chunks does for _beam;
     test_hoisted_sweeps_match_reference_bit_for_bit holds it to their bits. It calls
     section and _geometry only while it keeps no result of them: from the first point
     that computes one, it keeps the rigidity and the geometry factors, each unless field

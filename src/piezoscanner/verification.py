@@ -11,7 +11,8 @@ solving each alone; `checks` draws its 1,000 designs so. Its
 `normalization_independence` compares each solved rigidity with the layer
 sum :func:`layer_rigidity`, which shares no formula with `section`. The
 profile checks read both half-profile branches as scanner evaluates them
-(:func:`branches`).
+(:func:`branches`), and `profile_sampling` holds scanner's sampled profile to
+them at the same u, bit for bit.
 No model path calls this module; the CLI loads it, and numpy with it, only
 for `verify`.
 
@@ -31,6 +32,7 @@ error.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -160,9 +162,36 @@ def _profile_residual(force: float, a: float, span: float, rigidity: float,
     )
 
 
+def _sampling_residual(samples: int, force: float, a: float, span: float, rigidity: float,
+                       y_max: float) -> float:
+    """The largest difference between scanner's sampled profile and what it must be: on the
+    left half and the center, the grid u = 2 span j / (samples - 1) (the center at span) and
+    the branches at the sampled u; on the right half, the left half's exact mirror. u is
+    taken in units of span and y of y_max."""
+    rows = np.fromiter(itertools.chain.from_iterable(
+        scanner.profile_chunks(samples, force, a, span, rigidity)), float)
+    u, y = rows[0::2], rows[1::2]
+    last = (samples | 1) - 1
+    mid = last // 2
+    if len(u) != last + 1:
+        return math.inf
+    full = 2 * span
+    x = span - u[:mid + 1]
+    y_mirror, y_beam, _, _ = branches(x, force, a, span, rigidity)
+    du = np.concatenate([u[:mid + 1] - np.append(full * np.arange(mid) / last, span),
+                         u[mid + 1:] - (full - u[mid - 1::-1])])
+    dy = np.concatenate([y[:mid + 1] - np.where(x <= a, y_mirror, y_beam),
+                         y[mid + 1:] + y[mid - 1::-1]])
+    return float(np.max(np.abs(np.concatenate([du / span, dy / y_max]))))
+
+
 def checks(nodes: int):
     """Yield (name, residual, tolerance) for the whole verification suite."""
-    force, rigidity, a, span, *_ = scanner.solve_scanner(*sweep.reference_config())
+    force, rigidity, a, span, _, _, y_max, _ = scanner.solve_scanner(*sweep.reference_config())
+    # Scanner A's 2,048 samples are bumped to 2,049, whose left half and center fill one
+    # 1,024-row chunk and start the next. That profile is the line's main cost, so three
+    # drawn designs take 101, 100 and 5 samples.
+    sampled = [(2048, force, a, span, rigidity, y_max)]
 
     problem = oracle.BeamProblem(span=span, a=a, force=force, rigidity=rigidity, nodes=nodes)
     fd = oracle.solve_fd(problem)
@@ -187,6 +216,8 @@ def checks(nodes: int):
         force, rigidity, a, span, _, tilt_signed, y_max, _ = scanner.solve_scanner(*fields)
         forces.append(force)
         rigidities.append(rigidity)
+        if i < 3:
+            sampled.append(((101, 100, 5)[i], force, a, span, rigidity, y_max))
         if i % 10 == 0:  # the profile checks, ~11 us a design, on 100 of them
             worst_profile = max(worst_profile,
                                 _profile_residual(force, a, span, rigidity, tilt_signed) / y_max)
@@ -197,3 +228,4 @@ def checks(nodes: int):
     yield "closed_form_identity", worst_identity, 1e-10
     yield "normalization_independence", worst_norm, 1e-12
     yield "profile_invariants", worst_profile, 1e-12
+    yield "profile_sampling", float(np.max([_sampling_residual(*args) for args in sampled])), 0.0

@@ -57,7 +57,7 @@ def suite():
 
 
 def test_verify_lines_pinned():
-    """`verify` prints these eight lines in this order, each at this tolerance: a line
+    """`verify` prints these nine lines in this order, each at this tolerance: a line
     dropped, renamed, reordered or loosened fails here."""
     assert [(name, tol) for name, _, tol in verification.checks(2001)] == [
         ("oracle_reaction", 5e-3),
@@ -68,6 +68,7 @@ def test_verify_lines_pinned():
         ("closed_form_identity", 1e-10),
         ("normalization_independence", 1e-12),
         ("profile_invariants", 1e-12),
+        ("profile_sampling", 0.0),
     ]
 
 
@@ -85,6 +86,20 @@ def test_normalization_line_fails_on_a_wrong_section(monkeypatch):
     residuals = {name: (residual, tol) for name, residual, tol in verification.checks(2001)}
     residual, tol = residuals["normalization_independence"]
     assert residual > tol
+
+
+def test_sampling_line_fails_on_a_reassociated_sampler(monkeypatch):
+    """A sampler whose beam ordinate multiplies v * v before the slope rounds differently
+    from the beam branch in the last bit: profile_sampling, at tolerance 0.0, fails, and the
+    other eight lines, which never sample a profile, pass."""
+    source = inspect.getsource(scanner.profile_chunks)
+    mutant_source = source.replace("y = slope * v * v * (", "y = slope * (v * v) * (")
+    assert mutant_source != source
+    namespace = dict(vars(scanner))
+    exec(mutant_source, namespace)
+    monkeypatch.setattr(scanner, "profile_chunks", namespace["profile_chunks"])
+    failed = [name for name, residual, tol in verification.checks(2001) if not residual <= tol]
+    assert failed == ["profile_sampling"]
 
 
 def test_criterion_2_closed_form_identity(suite):

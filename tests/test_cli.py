@@ -13,8 +13,10 @@ import pytest
 import piezoscanner
 from piezoscanner.cli import MAX_SAMPLES, MAX_STEPS, _SWEEP_HEADER, _sweep_row, _write_atomic, run
 from piezoscanner.config import ConfigError, parse_config
-from piezoscanner.scanner import profile_points, solve_scanner
+from piezoscanner.scanner import profile_chunks, profile_points, solve_scanner
 from piezoscanner.sweep import SweepSpec, reference_config, sweep_points
+
+from conftest import profile_outcome, reference_profile_points
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 SCANNER_A_CFG = (REPO / "scannerA.cfg").read_text()
@@ -287,6 +289,45 @@ class TestProfileCommand:
         out = tmp_path / "p.csv"
         assert run(["profile", "--config", str(cfg), "--samples", "7", "--out", str(out)]) == 0
         assert [line.split(",")[1] for line in out.read_text().splitlines()[1:]] == ["0"] * 7
+
+
+def test_profile_chunk_finiteness_matches_reference():
+    """profile_chunks tests each chunk's ordinates by their sum. Two loads at 4,097 samples,
+    whose left half fills two 1,024-row chunks, are found by bisecting the force with
+    reference_profile_points. The largest that samples, whose first chunk's ordinates sum
+    past float_info.max, gives the reference's bits. The smallest that fails, whose first
+    non-finite ordinate is in the second chunk, raises the reference's exact error, once the
+    first chunk is yielded."""
+    samples, a, span, rigidity = 4097, 1.0, 101.0, 1e-300
+
+    def outcome(function, force):
+        return profile_outcome(function, samples, force, a, span, rigidity)
+
+    lo, hi = 1.0, sys.float_info.max
+    while hi > lo * 1.001:
+        force = math.sqrt(lo) * math.sqrt(hi)
+        if isinstance(outcome(reference_profile_points, force), tuple):
+            hi = force
+        else:
+            lo = force
+    expected = outcome(reference_profile_points, lo)
+    assert not math.isfinite(sum(float.fromhex(y) for _, y in expected[:1024]))
+    assert outcome(profile_points, lo) == [
+        (u, "0x0.0p+0" if y == "-0x0.0p+0" else y) for u, y in expected]
+
+    expected = outcome(reference_profile_points, hi)
+    assert expected[0] is ValueError
+    yielded = 0
+    with pytest.raises(ValueError):
+        for _ in reference_profile_points(samples, hi, a, span, rigidity):
+            yielded += 1
+    assert yielded > 1024  # the first non-finite ordinate is in the second chunk
+    assert outcome(profile_points, hi) == expected
+    chunks = profile_chunks(samples, hi, a, span, rigidity)
+    assert len(next(chunks)) == 2048
+    with pytest.raises(ValueError) as raised:
+        next(chunks)
+    assert str(raised.value) == expected[1]
 
 
 # The README's model, sweep and table1 commands on Scanner A: argv after the

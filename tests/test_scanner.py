@@ -11,7 +11,7 @@ from hypothesis import given
 
 from piezoscanner.multimorph import OutOfRangeError, check_stack, end_force, section
 from piezoscanner.scanner import (
-    _beam, _slope, check_mirror, profile_points, solve_scanner, statics,
+    _slope, check_mirror, profile_points, solve_scanner, statics,
 )
 from piezoscanner import sweep, verification
 from piezoscanner.sweep import (
@@ -19,7 +19,9 @@ from piezoscanner.sweep import (
 )
 from piezoscanner.verification import branches
 
-from conftest import Solution, half, physical_designs, sampled
+from conftest import (
+    Solution, half, physical_designs, profile_outcome, reference_profile_points, sampled,
+)
 
 # Scanner A: reference_config(), a 300 um mirror at 50 V. Frozen values computed by
 # evaluating the reaction/tilt/extremum formulas independently (quadratic
@@ -578,60 +580,7 @@ def test_step_solves_failed_points_through_solve_scanner(monkeypatch):
     assert calls == {"section": 1, "_geometry": 20, "solve_scanner": 21}
 
 
-# The profile reference: profile_points' body before the left half's ordinates were
-# kept for the right half, verbatim. The model must match it bit for bit, error texts
-# included, except that a zero ordinate is now +0.0 where the reference gave -0.0.
-def reference_profile_points(samples: int, force: float, a: float, span: float, rigidity: float):
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
-    if samples % 2 == 0:
-        samples += 1
-
-    slope = _slope(force, a, span, rigidity)
-
-    def half(x: float) -> float:
-        return slope * x if x <= a else _beam(x, slope, a, span)
-
-    # The right half mirrors the grid of the left around the center, so the
-    # antisymmetry of the two half-profiles is exact in floating point. The
-    # anchors are clamped to y = 0: their ordinates are evaluated and
-    # dropped, so a design the closed forms cannot evaluate fails at any
-    # sample count.
-    full = 2 * span
-    last = samples - 1
-    mid = last // 2
-    u = full * 0 / last
-    half(span - u)
-    yield u, 0.0
-    for i in range(1, mid):
-        u = full * i / last
-        y = half(span - u)
-        if not math.isfinite(y):
-            raise ValueError(f"non-finite profile ordinate ({y}) at u={u}")
-        yield u, y
-    # full * mid / last can round off span; the center is the fixed support.
-    yield span, 0.0
-    for i in range(mid + 1, last):
-        u_mirror = full * (last - i) / last
-        u = full - u_mirror
-        y = -half(span - u_mirror)
-        if not math.isfinite(y):
-            raise ValueError(f"non-finite profile ordinate ({y}) at u={u}")
-        yield u, y
-    u_mirror = full * 0 / last
-    half(span - u_mirror)
-    yield full - u_mirror, 0.0
-
-
-def profile_outcome(function, *args):
-    """The hex of every (u, y) the generator yields, or its exception's exact type and text."""
-    try:
-        return [(u.hex(), y.hex()) for u, y in function(*args)]
-    except Exception as exc:  # the exception type is part of what is compared
-        return type(exc), str(exc)
-
-
-# Sample counts of 2 to 5, and around one, two and four of the CLI's 1,024-row chunks.
+# Sample counts of 2 to 5, and around one, two and four of the sampler's 1,024-row chunks.
 PROFILE_SAMPLES = (2, 3, 4, 5, 1023, 1024, 1025, 2047, 2049, 4097)
 
 
