@@ -4,11 +4,16 @@ Exit codes: 0 success, 1 config/CLI error, 2 numerical or verification
 failure. Errors go to stderr with stable prefixes ("config:", "numeric:",
 "verify:"). All CSV output is written atomically (temp file + rename) and
 is byte-stable for identical inputs.
+
+The console entry, :func:`main`, ends the process itself once the `atexit`
+hooks have run and stdout and stderr are flushed, skipping the interpreter's
+teardown. In-process callers use :func:`run`, which returns the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import itertools
 import math
 import os
@@ -212,7 +217,8 @@ def _cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="piezoscanner", description=__doc__)
+    # --help shows the docstring but its last paragraph, which is about the console entry.
+    parser = _Parser(prog="piezoscanner", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("model", help="evaluate one design and write model.csv")
@@ -263,7 +269,21 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    """Run the command in sys.argv and end the process with its exit code. Once run()
+    returns, every CSV is closed and renamed, so the process runs the `atexit` hooks,
+    flushes stdout and stderr and ends with os._exit, skipping the interpreter's teardown.
+    A flush that fails (stdout on a full disk or a closed pipe) exits through sys.exit, so
+    the interpreter reports it as any program's lost output, with exit code 120. argparse's
+    SystemExit (usage errors, --help) takes the interpreter's exit path too."""
+    code = run()
+    atexit._run_exitfuncs()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None where the stream was closed at start-up
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

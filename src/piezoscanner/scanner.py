@@ -214,9 +214,3 @@ def profile_chunks(samples: int, force: float, a: float, span: float, rigidity: 
         chunk = us + ys
         chunk[::2], chunk[1::2] = us, ys
         yield chunk
-
-
-def profile_points(samples: int, force: float, a: float, span: float, rigidity: float):
-    """The (u, y) rows of :func:`profile_chunks`, one pair at a time."""
-    for chunk in profile_chunks(samples, force, a, span, rigidity):
-        yield from zip(chunk[::2], chunk[1::2])

@@ -4,7 +4,7 @@ from collections import namedtuple
 from hypothesis import Phase, settings
 from hypothesis import strategies as st
 
-from piezoscanner.scanner import _beam, _slope, profile_points, solve_scanner
+from piezoscanner.scanner import _beam, _slope, profile_chunks, solve_scanner
 from piezoscanner.sweep import ScanConfig
 
 # Every phase but explain, which only annotates a failure that is already shrunk
@@ -15,6 +15,12 @@ settings.load_profile("no-explain")
 
 # solve_scanner's result, by field name.
 Solution = namedtuple("Solution", "force rigidity a half_span reaction tilt_signed y_max x_at_ymax")
+
+
+def profile_points(samples: int, force: float, a: float, span: float, rigidity: float):
+    """The (u, y) rows of scanner.profile_chunks, one pair at a time."""
+    for chunk in profile_chunks(samples, force, a, span, rigidity):
+        yield from zip(chunk[::2], chunk[1::2])
 
 
 def sampled(config: ScanConfig, samples: int):

@@ -13,10 +13,10 @@ import pytest
 import piezoscanner
 from piezoscanner.cli import MAX_SAMPLES, MAX_STEPS, _SWEEP_HEADER, _sweep_row, _write_atomic, run
 from piezoscanner.config import ConfigError, parse_config
-from piezoscanner.scanner import profile_chunks, profile_points, solve_scanner
+from piezoscanner.scanner import profile_chunks, solve_scanner
 from piezoscanner.sweep import SweepSpec, reference_config, sweep_points
 
-from conftest import profile_outcome, reference_profile_points
+from conftest import profile_outcome, profile_points, reference_profile_points
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 SCANNER_A_CFG = (REPO / "scannerA.cfg").read_text()
@@ -668,6 +668,79 @@ def test_cli_import_loads_no_scipy(config_path, tmp_path, flags):
         capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr
+
+
+class TestProcessExit:
+    """The console entry ends its process with os._exit once the atexit hooks have run and
+    stdout and stderr are flushed. Each case runs a fresh process with both streams on pipes
+    and without PYTHONUNBUFFERED, under which every print is written at once and a lost
+    flush would not show."""
+
+    # The interpreter's own exit path, which main() leaves only for a flush that fails.
+    INTERPRETER_EXIT = "import sys; from piezoscanner.cli import run; sys.exit(run())"
+
+    @staticmethod
+    def cli(*argv, prelude=None, stdout=subprocess.PIPE):
+        """Run the CLI with argv, as `python -m piezoscanner.cli`, or after the prelude
+        statements as `python -c`."""
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(piezoscanner.__file__))
+        entry = ["-m", "piezoscanner.cli"] if prelude is None else ["-c", prelude]
+        return subprocess.run([sys.executable, *entry, *argv], env=env, stdout=stdout,
+                              stderr=subprocess.PIPE, text=True)
+
+    def test_model_output_is_flushed(self, config_path, tmp_path):
+        _, stdout, digest = README_OUTPUTS["model"]
+        out = tmp_path / "model.csv"
+        result = self.cli("model", "--config", config_path, "--out", str(out))
+        assert (result.returncode, result.stdout, result.stderr) == (0, stdout, "")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("edits, code, prefix", [
+        (CSV_UNIT_OVERFLOW, 2, "numeric: "),
+        ({"beam_width_um = 30": "beam_width_um = -30"}, 1, "config: "),
+    ], ids=["overflow", "bad-config"])
+    def test_error_is_one_flushed_line(self, tmp_path, edits, code, prefix):
+        text = SCANNER_A_CFG
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        cfg = tmp_path / "design.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "model.csv"
+        result = self.cli("model", "--config", str(cfg), "--out", str(out))
+        assert (result.returncode, result.stdout) == (code, "")
+        assert result.stderr.startswith(prefix) and result.stderr.endswith("\n")
+        assert result.stderr.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_stdout_on_full_device_exits_as_the_interpreter_does(self, config_path, tmp_path):
+        """A flush that fails takes the interpreter's exit path: exit 120 and the same
+        "Exception ignored" report, byte for byte."""
+        argv = ["model", "--config", config_path, "--out", str(tmp_path / "model.csv")]
+        with open("/dev/full", "w") as full:
+            result = self.cli(*argv, stdout=full)
+            expected = self.cli(*argv, prelude=self.INTERPRETER_EXIT, stdout=full)
+        assert result.returncode == expected.returncode == 120
+        assert result.stderr == expected.stderr
+        assert result.stderr.startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+
+    def test_atexit_hook_runs_and_is_flushed(self, config_path, tmp_path):
+        _, stdout, _ = README_OUTPUTS["model"]
+        prelude = ("import atexit; atexit.register(print, 'hook ran'); "
+                   "from piezoscanner.cli import main; main()")
+        result = self.cli("model", "--config", config_path, "--out", str(tmp_path / "model.csv"),
+                          prelude=prelude)
+        assert (result.returncode, result.stdout, result.stderr) == (0, stdout + "hook ran\n", "")
+
+    def test_closed_stdout_exits_zero(self, config_path, tmp_path):
+        """Python sets sys.stdout to None where fd 1 is closed at start-up; print then writes
+        nothing and the command succeeds, as on the interpreter's exit path."""
+        out = tmp_path / "model.csv"
+        prelude = "import sys; sys.stdout = None; from piezoscanner.cli import main; main()"
+        result = self.cli("model", "--config", config_path, "--out", str(out), prelude=prelude)
+        assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
+        assert out.exists()
 
 
 class TestAtomicWrites:

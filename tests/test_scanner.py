@@ -10,9 +10,7 @@ import pytest
 from hypothesis import given
 
 from piezoscanner.multimorph import OutOfRangeError, check_stack, end_force, section
-from piezoscanner.scanner import (
-    _slope, check_mirror, profile_points, solve_scanner, statics,
-)
+from piezoscanner.scanner import _slope, check_mirror, solve_scanner, statics
 from piezoscanner import sweep, verification
 from piezoscanner.sweep import (
     AXES, ScanConfig, SweepSpec, optimize_1d, reference_config, sweep_points,
@@ -20,7 +18,8 @@ from piezoscanner.sweep import (
 from piezoscanner.verification import branches
 
 from conftest import (
-    Solution, half, physical_designs, profile_outcome, reference_profile_points, sampled,
+    Solution, half, physical_designs, profile_outcome, profile_points, reference_profile_points,
+    sampled,
 )
 
 # Scanner A: reference_config(), a 300 um mirror at 50 V. Frozen values computed by
