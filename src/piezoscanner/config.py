@@ -11,8 +11,12 @@ Sections and keys:
                            mirror_side_um
     [drive]                voltage_V
 
-Comments are whole lines starting with ``#``; a ``#`` after a value is part
-of the value. Unknown sections or keys are errors; each material section
+Each line is one of four things, with whitespace at either end ignored: a
+blank line, a comment (``#`` first), a ``[section]`` header, or a
+``key = value`` line under a header. A ``#`` after a value is part of the
+value, and there are no continuation lines: any other line is an error that
+names its line number, as is a repeated section or key. Keys are
+case-sensitive. Unknown sections or keys are errors; each material section
 takes either a built-in name (``silicon`` or ``pzt-5h``, any case) or
 explicit constants, never both. A built-in name stands for its SI constants
 in ``_BUILTIN``; from there both forms take the same s11E reciprocity check
@@ -24,7 +28,6 @@ design carrier past this boundary.
 
 from __future__ import annotations
 
-import configparser
 import math
 
 from .materials import PZT5H_D31, PZT5H_E, PZT5H_S11E, SILICON_E
@@ -101,57 +104,53 @@ def _material(section: str, raw: dict[str, str]) -> tuple[float, float | None]:
 
 def parse_config(text: str) -> ScanConfig:
     """Parse and validate a config document. Raises ConfigError."""
-    parser = configparser.ConfigParser(
-        strict=True, interpolation=None, delimiters=("=",), comment_prefixes=("#",),
-        default_section="",  # a [] header never parses, so [DEFAULT] is an unknown section
-    )
-    parser.optionxform = str  # keys are case-sensitive
-    try:
-        parser.read_string(text)
-    except configparser.DuplicateSectionError as exc:
-        raise ConfigError(f"line {exc.lineno}: duplicate section [{exc.section}]") from exc
-    except configparser.DuplicateOptionError as exc:
-        raise ConfigError(f"line {exc.lineno}: duplicate key {exc.option!r}") from exc
-    except configparser.Error as exc:
-        raise ConfigError(str(exc)) from exc
-
-    for section in parser.sections():
-        if section not in _SECTION_KEYS:
-            raise ConfigError(f"unknown section [{section}]")
-        for key in parser[section]:
-            if key not in _SECTION_KEYS[section]:
-                raise ConfigError(f"{section}: unknown key {key!r}")
+    sections: dict[str, dict[str, str]] = {}
+    section = None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1]
+            if section not in _SECTION_KEYS:
+                raise ConfigError(f"unknown section [{section}]")
+            if section in sections:
+                raise ConfigError(f"line {lineno}: duplicate section [{section}]")
+            sections[section] = {}
+            continue
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not key or not eq or section is None:
+            raise ConfigError(f"line {lineno}: expected key = value under a [section], got {line!r}")
+        if key not in _SECTION_KEYS[section]:
+            raise ConfigError(f"{section}: unknown key {key!r}")
+        if key in sections[section]:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        sections[section][key] = value
     for section in _SECTION_KEYS:
-        if section not in parser:
+        if section not in sections:
             raise ConfigError(f"missing required section [{section}]")
 
-    substrate_E, _ = _material("material.substrate", dict(parser["material.substrate"]))
-    piezo_E, d31 = _material("material.piezo", dict(parser["material.piezo"]))
+    substrate_E, _ = _material("material.substrate", sections["material.substrate"])
+    piezo_E, d31 = _material("material.piezo", sections["material.piezo"])
     if d31 is None:
         raise ConfigError("material.piezo: d31_pm_per_V (or a piezo registry name) is required")
 
-    geom = dict(parser["geometry"])
-    for key in _SECTION_KEYS["geometry"]:
-        if key not in geom:
-            raise ConfigError(f"geometry: missing required key {key}")
-    geom_si = {
-        key: _si("geometry", key, geom[key], positive=True)
-        for key in _SECTION_KEYS["geometry"]
-    }
-
-    drive = dict(parser["drive"])
-    if "voltage_V" not in drive:
-        raise ConfigError("drive: missing required key voltage_V")
-    voltage = _si("drive", "voltage_V", drive["voltage_V"])
+    si = {}
+    for section in ("geometry", "drive"):
+        for key in _SECTION_KEYS[section]:
+            if key not in sections[section]:
+                raise ConfigError(f"{section}: missing required key {key}")
+        si.update((key, _si(section, key, sections[section][key], positive=section == "geometry"))
+                  for key in _SECTION_KEYS[section])
 
     return ScanConfig(
         substrate_E=substrate_E,
         piezo_E=piezo_E,
         d31=d31,
-        substrate_t=geom_si["substrate_thickness_um"],
-        piezo_t=geom_si["piezo_thickness_um"],
-        beam_width=geom_si["beam_width_um"],
-        beam_length=geom_si["beam_length_um"],
-        mirror_side=geom_si["mirror_side_um"],
-        voltage=voltage,
+        substrate_t=si["substrate_thickness_um"],
+        piezo_t=si["piezo_thickness_um"],
+        beam_width=si["beam_width_um"],
+        beam_length=si["beam_length_um"],
+        mirror_side=si["mirror_side_um"],
+        voltage=si["voltage_V"],
     )

@@ -86,8 +86,39 @@ class TestParseConfig:
             parse_config(SCANNER_A_CFG.replace(line, bad))
 
     def test_duplicate_section_rejected(self):
-        with pytest.raises(ConfigError, match="duplicate section"):
+        with pytest.raises(ConfigError, match=r"^line 22: duplicate section \[drive\]$"):
             parse_config(SCANNER_A_CFG + "\n[drive]\nvoltage_V = 10\n")
+
+    def test_duplicate_key_rejected(self):
+        with pytest.raises(ConfigError, match=r"^line 21: duplicate key 'voltage_V'$"):
+            parse_config(SCANNER_A_CFG.replace("voltage_V = 50", "voltage_V = 50\nvoltage_V = 10"))
+
+    @pytest.mark.parametrize("text, error", [
+        (SCANNER_A_CFG.replace("beam_length_um = 850", "beam_length_um =\n    850"),
+         "line 14: expected key = value under a [section], got '850'"),
+        (SCANNER_A_CFG.replace("[geometry]", "[geometry] junk"),
+         "line 12: expected key = value under a [section], got '[geometry] junk'"),
+        ("voltage_V = 50\n" + SCANNER_A_CFG,
+         "line 1: expected key = value under a [section], got 'voltage_V = 50'"),
+        (SCANNER_A_CFG.replace("voltage_V = 50", "voltage_V : 50"),
+         "line 20: expected key = value under a [section], got 'voltage_V : 50'"),
+        (SCANNER_A_CFG.replace("voltage_V = 50", "voltage_V = 50\n= 50"),
+         "line 21: expected key = value under a [section], got '= 50'"),
+        ("\n \n".join(f"\t{line.replace(' = ', '  =  ')}  " for line in SCANNER_A_CFG.splitlines()),
+         None),
+    ], ids=["continuation", "header-text", "key-before-section", "no-equals", "no-key", "padded"])
+    def test_line_grammar(self, tmp_path, capsys, text, error):
+        """Each line is blank, a # comment, a [section] header or key = value, with
+        whitespace at either end ignored. Any other line exits 1 with one stderr line that
+        names it; a padded Scanner A parses to the reference design."""
+        cfg = tmp_path / "grammar.cfg"
+        cfg.write_text(text)
+        code = run(["model", "--config", str(cfg), "--out", str(tmp_path / "m.csv")])
+        if error is None:
+            assert (code, capsys.readouterr().err) == (0, "")
+            assert tuple(parse_config(text)) == pytest.approx(tuple(reference_config()), rel=1e-15)
+        else:
+            assert (code, capsys.readouterr().err) == (1, f"config: {error}\n")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -640,9 +671,10 @@ def test_readme_pins_pass_without_numpy():
 
 @pytest.mark.parametrize("flags", [(), ("-S",)], ids=["site", "no-site"])
 def test_cli_import_loads_no_scipy(config_path, tmp_path, flags):
-    """Neither scipy nor numpy loads for the import or any command but verify, nor array,
-    which only profile loads, for the import. Under -S, with no site hook that may load them
-    itself, neither do dataclasses, inspect or tempfile."""
+    """Neither scipy nor numpy loads for the import or any command but verify, nor
+    configparser, since config.py reads its own line grammar, nor array, which only profile
+    loads, for the import. Under -S, with no site hook that may load them itself, neither do
+    dataclasses, inspect or tempfile."""
     src = os.path.dirname(os.path.dirname(piezoscanner.__file__))
     probe = textwrap.dedent(
         """\
@@ -651,12 +683,14 @@ def test_cli_import_loads_no_scipy(config_path, tmp_path, flags):
         assert 'scipy' not in sys.modules, 'scipy imported'
         assert 'numpy' not in sys.modules, 'numpy imported by the import'
         assert 'array' not in sys.modules, 'array imported by the import'
+        assert 'configparser' not in sys.modules, 'configparser imported by the import'
         cfg, out = sys.argv[1:]
         for argv in (["model", "--config", cfg], ["profile", "--config", cfg],
                      ["sweep", "--config", cfg, "--axis", "voltage", "--from=0", "--to=50",
                       "--steps", "3"], ["table1"]):
             assert cli.run([*argv, "--out", out]) == 0, argv
-            assert 'numpy' not in sys.modules, f'numpy imported by {argv[0]}'
+            for name in ('numpy', 'configparser'):
+                assert name not in sys.modules, f'{name} imported by {argv[0]}'
             if sys.flags.no_site:
                 for name in ('dataclasses', 'inspect', 'tempfile'):
                     assert name not in sys.modules, f'{name} imported by {argv[0]}'
