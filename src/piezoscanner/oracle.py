@@ -49,17 +49,19 @@ class OracleSolution(namedtuple("OracleSolution", ("reaction", "grid", "deflecti
         return math.atan(abs(self.rigid_segment_slope()))
 
 
-def _integrate_twice(rhs):
+def _integrate_twice(rhs, ramp):
     """Exact solution of y[i-1] - 2 y[i] + y[i+1] = rhs[i-1] at the n - 2
-    interior nodes, with y = 0 at both ends.
+    interior nodes, with y = 0 at both ends; ramp is i / (n - 1) at the n nodes.
 
     Two running sums give the solution with y[0] = y[1] = 0; subtracting
-    the linear term, which the stencil does not see, zeroes the far end.
+    the linear term y[-1] * ramp, which the stencil does not see, zeroes the
+    far end. Both sums and the subtraction run in place in the returned array.
     """
-    n = rhs.size + 2
-    y = np.zeros(n)
-    y[2:] = np.cumsum(np.cumsum(rhs))
-    return y - y[-1] * (np.arange(n) / (n - 1))
+    y = np.zeros(ramp.size)
+    np.cumsum(rhs, out=y[2:])
+    np.cumsum(y[2:], out=y[2:])
+    y -= y[-1] * ramp
+    return y
 
 
 def _solve_superposed(grid, h, curvature_coeff, a_snapped, force):
@@ -77,13 +79,19 @@ def _solve_superposed(grid, h, curvature_coeff, a_snapped, force):
     The deflection is in units of 1/rigidity; the reaction does not scale.
     """
     n = grid.size
-    # Moment split: M(x) = R * x + force * max(x - a, 0).
+    ramp = np.arange(n, dtype=float) / (n - 1)  # the integer arange's quotient, bit for bit
+    # Moment split: M(x) = R * x + force * max(x - a, 0). Each right-hand side is
+    # h * h * coeff * moment, multiplied in that order: of two NaNs a product keeps the first.
     x_int = grid[1 : n - 1]
-    m_load = force * np.maximum(x_int - a_snapped, 0.0)
-    coeff = curvature_coeff[1 : n - 1]
+    rhs_load = x_int - a_snapped
+    np.maximum(rhs_load, 0.0, out=rhs_load)
+    np.multiply(force, rhs_load, out=rhs_load)
+    rhs_unit = h * h * curvature_coeff[1 : n - 1]
+    np.multiply(rhs_unit, rhs_load, out=rhs_load)
+    rhs_unit *= x_int
 
-    y_load = _integrate_twice(h * h * coeff * m_load)
-    y_unit = _integrate_twice(h * h * coeff * x_int)
+    y_load = _integrate_twice(rhs_load, ramp)
+    y_unit = _integrate_twice(rhs_unit, ramp)
 
     def clamp_slope(y):
         return 3 * y[n - 1] - 4 * y[n - 2] + y[n - 3]
@@ -92,7 +100,9 @@ def _solve_superposed(grid, h, curvature_coeff, a_snapped, force):
     if denom == 0:
         raise ValueError("clamp condition does not determine the reaction")
     r = -clamp_slope(y_load) / denom
-    return y_load + r * y_unit, r
+    np.multiply(r, y_unit, out=y_unit)
+    y_load += y_unit
+    return y_load, r
 
 
 def solve_fd(problem: BeamProblem, rigidity_ratio: float = math.inf) -> OracleSolution:
@@ -103,6 +113,9 @@ def solve_fd(problem: BeamProblem, rigidity_ratio: float = math.inf) -> OracleSo
     large finite ratio confirms that the rigid idealization is insensitive
     to it. The beam is solved at unit rigidity and its deflection divided by
     the rigidity once, so the reaction has the same bits at any rigidity.
+    The solve works on its arrays in place, with the operations of the plain
+    expressions h * h * coeff * moment and y_load + r * y_unit in their
+    order, so it has their bits.
     """
     n = problem.nodes
     grid = np.linspace(0.0, problem.span, n)
@@ -134,11 +147,15 @@ def profile_error(problem: BeamProblem, solution: OracleSolution) -> float:
     if force == 0:
         return float(np.max(np.abs(solution.deflection)))
     slope = scanner._slope(force, a, span, problem.rigidity)
-    closed = np.where(x <= a, slope * x, scanner._beam(x, slope, a, span))
+    k = int(np.searchsorted(x, a, side="right"))  # the mirror's nodes, x <= a: a is a node
+    closed = np.empty_like(x)
+    np.multiply(slope, x[:k], out=closed[:k])
+    closed[k:] = scanner._beam(x[k:], slope, a, span)
     scale = float(np.max(np.abs(closed)))
     if scale < sys.float_info.min:
         raise ValueError(f"closed-form profile scale {scale!r} underflows; nothing to compare")
-    return float(np.max(np.abs(solution.deflection - closed)) / scale)
+    np.subtract(solution.deflection, closed, out=closed)
+    return float(np.max(np.abs(closed, out=closed)) / scale)
 
 
 def convergence_study(problem: BeamProblem, node_counts: list[int]) -> list[float]:
@@ -151,9 +168,13 @@ def convergence_study(problem: BeamProblem, node_counts: list[int]) -> list[floa
 
 
 def convergence_orders(node_counts: list[int], errors: list[float]) -> list[float]:
-    """Observed log-log convergence slopes between successive refinements."""
+    """Observed log-log convergence slopes between successive refinements. An error of 0,
+    as under a zero force, has no logarithm: ValueError naming its node count."""
     orders = []
     for (n0, e0), (n1, e1) in zip(zip(node_counts, errors), zip(node_counts[1:], errors[1:])):
+        if e0 == 0 or e1 == 0:
+            raise ValueError(f"profile error is 0 at {n0 if e0 == 0 else n1} nodes; "
+                             "no convergence order")
         h_ratio = (n1 - 1) / (n0 - 1)
         orders.append(math.log(e0 / e1) / math.log(h_ratio))
     return orders

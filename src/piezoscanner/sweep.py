@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from itertools import repeat
 
 from . import materials
 from .multimorph import check_stack, section
@@ -100,20 +101,25 @@ def _stepper(base: ScanConfig, field: str):
     end_force and of _load inline and in order, as profile_chunks does for _beam;
     test_hoisted_sweeps_match_reference_bit_for_bit holds it to their bits. It calls
     section and _geometry only while it keeps no result of them: from the first point
-    that computes one, it keeps the rigidity and the geometry factors, each unless field
-    is one that sets it, so a kept part has the bits of computing it again. A point that
-    fails the test, raises, or has a non-finite result goes through solve_scanner, and
-    the error text that it raises is the point's status.
+    that computes one, it keeps the rigidity unless field is a layer's modulus or
+    thickness or beam_width, and the geometry factors unless field is beam_length or
+    mirror_side. On beam_width it keeps a unit-width section instead: the width enters
+    the section only as the last factor of its inertia, width * K, and a unit width gives
+    1.0 * K = K exactly, so e_ref * (beam_width * K) is section's rigidity. A kept part
+    has the bits of computing it again. A point that fails the test, raises, or has a
+    non-finite result goes through solve_scanner, and the error text that it raises is
+    the point's status.
     """
     design = list(base)
     index = base._fields.index(field)
+    width_axis = field == "beam_width"
     keep_rigidity = field not in ("substrate_E", "substrate_t", "piezo_E", "piezo_t", "beam_width")
     keep_geometry = field not in ("beam_length", "mirror_side")
-    rigidity = geometry = None
+    unit_section = rigidity = geometry = None
     atan, degrees, isfinite, nan = math.atan, math.degrees, math.isfinite, math.nan
 
     def step(value):
-        nonlocal rigidity, geometry
+        nonlocal unit_section, rigidity, geometry
         design[index] = value
         (substrate_E, piezo_E, d31, substrate_t, piezo_t, beam_width, beam_length, mirror_side,
          voltage) = design
@@ -125,9 +131,18 @@ def _stepper(base: ScanConfig, field: str):
             try:
                 stiffness = rigidity
                 if stiffness is None:
-                    stiffness = section(substrate_E, substrate_t, piezo_E, piezo_t, beam_width)[3]
-                    if keep_rigidity:
-                        rigidity = stiffness
+                    if width_axis:
+                        unit = unit_section
+                        if unit is None:
+                            unit = unit_section = section(substrate_E, substrate_t, piezo_E,
+                                                          piezo_t, 1.0)
+                        _, i_unit, e_ref, _ = unit
+                        stiffness = e_ref * (beam_width * i_unit)
+                    else:
+                        stiffness = section(substrate_E, substrate_t, piezo_E, piezo_t,
+                                            beam_width)[3]
+                        if keep_rigidity:
+                            rigidity = stiffness
                 factors = geometry
                 if factors is None:
                     factors = _geometry(a, span)
@@ -163,7 +178,8 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     rather than dropped; every evaluation is pure, so the result does not
     depend on evaluation order.
     """
-    return list(map(SweepRecord._make, sweep_points(spec)))
+    # The step always gives six fields, so _make's length check has nothing to catch.
+    return list(map(tuple.__new__, repeat(SweepRecord), sweep_points(spec)))
 
 
 _OBJECTIVES = ("tilt", "y_max")

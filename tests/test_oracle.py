@@ -15,6 +15,7 @@ from piezoscanner.oracle import (
     profile_error,
     solve_fd,
 )
+from piezoscanner.verification import random_design
 
 from conftest import half
 
@@ -96,22 +97,22 @@ class TestSolveFd:
 
 class TestIntegrateTwice:
     def test_round_off_against_dense_solve(self, monkeypatch):
-        # Capture the load and unit right-hand sides of a real solve.
+        # Capture the load and unit right-hand sides of a real solve, and its ramp.
         integrate = oracle._integrate_twice
         seen = []
 
-        def recording(rhs):
-            seen.append(rhs)
-            return integrate(rhs)
+        def recording(rhs, ramp):
+            seen.append((rhs.copy(), ramp))
+            return integrate(rhs, ramp)
 
         monkeypatch.setattr(oracle, "_integrate_twice", recording)
         solve_fd(problem_a(nodes=1001))
         assert len(seen) == 2
-        for rhs in seen:
+        for rhs, ramp in seen:
             m = rhs.size
             stencil = np.diag(np.full(m, -2.0)) + np.eye(m, k=1) + np.eye(m, k=-1)
             dense = np.linalg.solve(stencil, rhs)
-            y = integrate(rhs)
+            y = integrate(rhs, ramp)
             assert y[0] == 0.0 and y[-1] == 0.0
             assert np.max(np.abs(y[1:-1] - dense)) <= 1e-12 * np.max(np.abs(dense))
 
@@ -134,6 +135,12 @@ class TestConvergence:
     def test_zero_force_all_zero(self):
         problem = BeamProblem(span=SPAN, a=A, force=0.0, rigidity=RIGIDITY)
         assert convergence_study(problem, [101, 201]) == [0.0, 0.0]
+
+    @pytest.mark.parametrize("errors, nodes", [([0.0, 0.0], 101), ([1e-3, 0.0], 201)])
+    def test_zero_error_has_no_order(self, errors, nodes):
+        with pytest.raises(ValueError, match=f"^profile error is 0 at {nodes} nodes; "
+                                             "no convergence order$"):
+            convergence_orders([101, 201], errors)
 
     def test_convergence_script(self):
         src = os.path.dirname(os.path.dirname(piezoscanner.__file__))
@@ -175,3 +182,109 @@ class TestFiniteRigidity:
         exact = solve_fd(problem_a()).tilt()
         finite = solve_fd(problem_a(), rigidity_ratio=1e6).tilt()
         assert abs(finite - exact) / exact < 1e-4
+
+
+# The oracle before it worked in place, verbatim: solve_fd and profile_error must give its
+# bits, a -0.0 included, and its error texts.
+def reference_integrate_twice(rhs):
+    n = rhs.size + 2
+    y = np.zeros(n)
+    y[2:] = np.cumsum(np.cumsum(rhs))
+    return y - y[-1] * (np.arange(n) / (n - 1))
+
+
+def reference_solve_superposed(grid, h, curvature_coeff, a_snapped, force):
+    n = grid.size
+    x_int = grid[1 : n - 1]
+    m_load = force * np.maximum(x_int - a_snapped, 0.0)
+    coeff = curvature_coeff[1 : n - 1]
+
+    y_load = reference_integrate_twice(h * h * coeff * m_load)
+    y_unit = reference_integrate_twice(h * h * coeff * x_int)
+
+    def clamp_slope(y):
+        return 3 * y[n - 1] - 4 * y[n - 2] + y[n - 3]
+
+    denom = clamp_slope(y_unit)
+    if denom == 0:
+        raise ValueError("clamp condition does not determine the reaction")
+    r = -clamp_slope(y_load) / denom
+    return y_load + r * y_unit, r
+
+
+def reference_solve_fd(problem, rigidity_ratio=math.inf):
+    n = problem.nodes
+    grid = np.linspace(0.0, problem.span, n)
+    h = problem.span / (n - 1)
+    j = int(round(problem.a / h))
+    j = min(max(j, 1), n - 2)
+    a_snapped = grid[j]
+
+    c_mirror = 1.0 / rigidity_ratio
+    coeff = np.ones(n)
+    coeff[:j] = c_mirror
+    coeff[j] = 0.5 * (c_mirror + 1.0)
+
+    y, r = reference_solve_superposed(grid, h, coeff, a_snapped, problem.force)
+    y /= problem.rigidity
+    return oracle.OracleSolution(reaction=r, grid=grid, deflection=y, a_snapped=a_snapped)
+
+
+def reference_profile_error(problem, solution):
+    x, a, span, force = solution.grid, solution.a_snapped, problem.span, problem.force
+    if force == 0:
+        return float(np.max(np.abs(solution.deflection)))
+    slope = scanner._slope(force, a, span, problem.rigidity)
+    closed = np.where(x <= a, slope * x, scanner._beam(x, slope, a, span))
+    scale = float(np.max(np.abs(closed)))
+    if scale < sys.float_info.min:
+        raise ValueError(f"closed-form profile scale {scale!r} underflows; nothing to compare")
+    return float(np.max(np.abs(solution.deflection - closed)) / scale)
+
+
+def oracle_outcome(solve, error, problem, rigidity_ratio):
+    """The solution's bits and its profile error as hex, or the error's type and text."""
+    try:
+        solution = solve(problem, rigidity_ratio)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    bits = (solution.reaction.hex(), solution.grid.tobytes(), solution.deflection.tobytes(),
+            solution.a_snapped.hex())
+    try:
+        return bits, error(problem, solution).hex()
+    except (ArithmeticError, ValueError) as exc:
+        return bits, type(exc), str(exc)
+
+
+def oracle_problems():
+    """Scanner A with its mirror and at midspan, 50 drawn designs, Scanner A at rigidities
+    whose closed form underflows, and loads whose solve meets NaNs of either sign."""
+    yield problem_a()
+    yield problem_a()._replace(a=SPAN / 2)
+    drawn = random_design(np.random.default_rng(20261030), 50)
+    for fields in np.column_stack(drawn).tolist():
+        force, rigidity, a, span, *_ = scanner.solve_scanner(*fields)
+        yield BeamProblem(span=span, a=a, force=force, rigidity=rigidity)
+    for rigidity in (1e300, 1e308):
+        yield problem_a()._replace(rigidity=rigidity)
+    for force in (math.nan, -math.inf):  # h * h overflows, and 0 * inf is a NaN
+        yield BeamProblem(span=1e300, a=1.5e299, force=force, rigidity=1e-10)
+
+
+def test_oracle_matches_reference_bit_for_bit():
+    """solve_fd and profile_error give the reference's reaction, grid, deflection, snapped
+    junction and profile error bit for bit, or its exact error, at 11, 2,001 and 20,001
+    nodes and with a rigid or a 1e6 times stiffer mirror."""
+    outcomes = []
+    with np.errstate(all="ignore"):
+        for problem in oracle_problems():
+            for nodes in (11, 2001, 20001):
+                for ratio in (math.inf, 1e6):
+                    args = problem._replace(nodes=nodes), ratio
+                    got = oracle_outcome(solve_fd, profile_error, *args)
+                    assert got == oracle_outcome(reference_solve_fd, reference_profile_error,
+                                                 *args), args
+                    outcomes.append(got)
+    underflows = [outcome[-1] for outcome in outcomes if outcome[-2] is ValueError]
+    assert len(underflows) == 2 * 6 and all(" underflows; " in text for text in underflows)
+    assert len(outcomes) == 56 * 6

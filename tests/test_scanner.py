@@ -471,10 +471,10 @@ def record_outcome(design):
 
 
 def test_hoisted_sweeps_match_reference_bit_for_bit():
-    """sweep_points reuses the rigidity or the geometry factors that its axis leaves
-    unchanged. Sweeps along all six axes from physical and extreme bases, beams that round
-    a + L to the same span for several mirrors, and bases whose reused stage raises give
-    reference_solve's bits or its error text at every point."""
+    """sweep_points reuses the rigidity, the unit-width section or the geometry factors that
+    its axis leaves unchanged. Sweeps along all six axes from physical and extreme bases,
+    beams that round a + L to the same span for several mirrors, and bases whose reused stage
+    raises give reference_solve's bits or its error text at every point."""
     rng = random.Random(20261020)
     bases = [(physical_design(rng), True) if i % 2
              else (ScanConfig(*(extreme_value(rng) for _ in range(9))), False) for i in range(100)]
@@ -489,9 +489,9 @@ def test_hoisted_sweeps_match_reference_bit_for_bit():
     section_overflow = reference_config()._replace(substrate_t=1e200)
     huge_geometry = reference_config()._replace(beam_length=1e103, mirror_side=2e103)
     underflow = reference_config()._replace(substrate_E=1e-320, piezo_E=1e-320)
-    for base, axes in ((section_overflow, ("voltage", "beam_length")),
+    for base, axes in ((section_overflow, ("voltage", "beam_length", "beam_width")),
                        (huge_geometry, ("voltage", "piezo_thickness")),
-                       (underflow, ("voltage", "mirror_side"))):
+                       (underflow, ("voltage", "mirror_side", "beam_width"))):
         specs += [SweepSpec(base, axis, -2e-3, 2e-3, 41) for axis in axes]
     solved = 0
     for spec in specs:
@@ -558,12 +558,13 @@ def counted_calls(monkeypatch, names):
 
 @pytest.mark.parametrize("axis", sorted(REUSE_SWEEPS))
 def test_step_reuses_what_its_axis_leaves_unchanged(monkeypatch, axis):
-    """A sweep's step computes the section and the geometry factors once where its axis
-    leaves them unchanged, and reaches solve_scanner only for a point that fails."""
+    """A sweep's step computes the unit-width section and the geometry factors once where
+    its axis leaves them unchanged, beam_width included, and reaches solve_scanner only for
+    a point that fails."""
     calls = counted_calls(monkeypatch, ("section", "_geometry", "solve_scanner"))
     records = sweep.run_sweep(SweepSpec(reference_config(), axis, *REUSE_SWEEPS[axis], 50))
     assert all(record.ok for record in records)
-    sets_section = AXES[axis] in ("beam_width", "substrate_t", "piezo_t")
+    sets_section = AXES[axis] in ("substrate_t", "piezo_t")
     sets_geometry = axis in ("beam_length", "mirror_side")
     assert calls == {"section": 50 if sets_section else 1,
                      "_geometry": 50 if sets_geometry else 1, "solve_scanner": 0}
