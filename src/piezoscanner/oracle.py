@@ -20,7 +20,9 @@ from . import scanner
 
 
 class BeamProblem(namedtuple("BeamProblem", ("span", "a", "force", "rigidity", "nodes"))):
-    """Half-span propped beam with rigid segment [0, a] and clamp at L; checked when built."""
+    """Half-span propped beam with rigid segment [0, a] and clamp at L; checked when built.
+    The span, a, force and rigidity must be finite, and the grid step's square h * h, which
+    every right-hand side of the solve carries, a normal float."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))  # _replace builds through _make
@@ -28,10 +30,16 @@ class BeamProblem(namedtuple("BeamProblem", ("span", "a", "force", "rigidity", "
     def __new__(cls, span, a, force, rigidity, nodes=2001):
         if nodes < 11 or nodes % 2 == 0:
             raise ValueError("nodes must be odd and >= 11")
+        for name, value in (("span", span), ("a", a), ("force", force), ("rigidity", rigidity)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, not {value!r}")
         if not 0 < a < span:
             raise ValueError("need 0 < a < span")
         if not rigidity > 0:
             raise ValueError("rigidity must be > 0")
+        h = span / (nodes - 1)
+        if not sys.float_info.min <= h * h < math.inf:
+            raise ValueError(f"grid step {h!r} squares to {h * h!r}, not a normal float")
         return super().__new__(cls, span, a, force, rigidity, nodes)
 
 
@@ -42,7 +50,7 @@ class OracleSolution(namedtuple("OracleSolution", ("reaction", "grid", "deflecti
 
     def rigid_segment_slope(self) -> float:
         """Slope of the mirror segment from its endpoint nodal values."""
-        j = int(np.argmin(np.abs(self.grid - self.a_snapped)))
+        j = int(np.searchsorted(self.grid, self.a_snapped))  # the junction node, grid[j] == a_snapped
         return (self.deflection[j] - self.deflection[0]) / self.a_snapped
 
     def tilt(self) -> float:

@@ -42,19 +42,19 @@ def check_mirror(mirror_side: float, length: float) -> tuple[float, float]:
     return a, span
 
 
-def _geometry(a: float, span: float) -> tuple[float, float, float, float, float]:
-    """(ratio, l3, q, y_factor, x_star), the factors of :func:`statics` that depend on
-    (a, span) alone; raises OutOfRangeError where a power overflows or q underflows to 0."""
+def _geometry(a: float, span: float) -> tuple[float, float, float, float]:
+    """(ratio, l3, q, y_factor), the factors of :func:`statics` that depend on (a, span)
+    alone; raises OutOfRangeError where a power overflows or q underflows to 0. No step
+    reads x*, so :func:`_load` computes it, for :func:`solve_scanner` only."""
     try:
         q = a**2 + a * span + span**2
         ratio = (span - a) * (2 * span + a) / (2 * q)
         l3 = (span - a) ** 3
         r = (span + 2 * a) / (a + span)
         y_factor = 4 / 27 * (span + 2 * a) * r * r
-        x_star = (span**2 + a * span + 4 * a**2) / (3 * (a + span))
     except ArithmeticError as exc:
         raise OutOfRangeError("half-beam statics", exc) from exc
-    return ratio, l3, q, y_factor, x_star
+    return ratio, l3, q, y_factor
 
 
 # With L = span - a, the mirror segment is y = slope * x and the beam branch
@@ -70,7 +70,7 @@ def _geometry(a: float, span: float) -> tuple[float, float, float, float, float]
 
 def _slope(force: float, a: float, span: float, rigidity: float) -> float:
     """The mirror segment's slope, force a L^3 / den, as :func:`statics` computes it."""
-    _, l3, q, _, _ = _geometry(a, span)
+    _, l3, q, _ = _geometry(a, span)
     return force * a * l3 / (4 * rigidity * q)
 
 
@@ -82,10 +82,14 @@ def _beam(x, slope, a, span):
     return slope * u * u * (2 * a * (x - a) / length + x)
 
 
-def _load(force: float, a: float, rigidity: float, geometry) -> tuple[float, float, float, float]:
+def _load(force: float, a: float, span: float, rigidity: float,
+          geometry) -> tuple[float, float, float, float]:
     """statics' (reaction, tilt_signed, y_max, x_at_ymax) from the factors of :func:`_geometry`.
-    The step of :func:`piezoscanner.sweep._stepper` repeats these operations inline, in order."""
-    ratio, l3, q, y_factor, x_star = geometry
+    The step of :func:`piezoscanner.sweep._stepper` repeats these operations inline, in order,
+    all but x*, which only :func:`solve_scanner` reads. x* raises nothing: its powers are q's,
+    which :func:`_geometry` has computed, and its divisor 3 (a + span) is 0 only where r's
+    a + span has raised."""
+    ratio, l3, q, y_factor = geometry
     try:
         slope = force * a * l3 / (4 * rigidity * q)
     except ZeroDivisionError as exc:
@@ -93,7 +97,7 @@ def _load(force: float, a: float, rigidity: float, geometry) -> tuple[float, flo
     r_a = 0.0 - force * ratio  # -(force ratio), and +0.0 at zero force
     tilt_signed = math.atan(slope)
     y_max = abs(slope) * y_factor
-    x_at = x_star if force else a
+    x_at = (span**2 + a * span + 4 * a**2) / (3 * (a + span)) if force else a
     # Finite inputs can still overflow; no non-finite result may leave the model.
     if not math.isfinite(force + rigidity + r_a + tilt_signed + y_max):
         for name, value in (("force", force), ("rigidity", rigidity), ("reaction", r_a),
@@ -115,12 +119,13 @@ def statics(force: float, a: float, span: float, rigidity: float) -> tuple[float
     |y(x*)|. At zero force the profile is flat and (y_max, x_at_ymax) is (0.0, a).
 
     The geometry part, :func:`_geometry`, computes the factors that depend on
-    (a, span) alone: the reaction ratio, L^3, q = a^2 + a span + span^2,
-    y_factor = (4/27) (span + 2a) ((span + 2a) / (a + span))^2 and x*. The
+    (a, span) alone: the reaction ratio, L^3, q = a^2 + a span + span^2 and
+    y_factor = (4/27) (span + 2a) ((span + 2a) / (a + span))^2. The
     load part, :func:`_load`, scales them: the mirror-center support's
     reaction = 0 - force ratio, with ratio in (0, 1] and a zero reaction
     +0.0, slope = force a L^3 / (4 rigidity q), tilt = atan(slope) and
-    y_max = |slope| y_factor.
+    y_max = |slope| y_factor. It also computes x*, which no sweep step reads,
+    so x* is computed only here, for :func:`solve_scanner`.
     Each value takes one expression's operations in order, and the geometry
     part raises first, as a single pass would.
 
@@ -129,7 +134,7 @@ def statics(force: float, a: float, span: float, rigidity: float) -> tuple[float
     that is not finite. Their sum is tested first: a sum with an inf or nan
     term is not finite, and only such a sum walks the loop that names the value.
     """
-    return _load(force, a, rigidity, _geometry(a, span))
+    return _load(force, a, span, rigidity, _geometry(a, span))
 
 
 def solve_scanner(substrate_E: float, piezo_E: float, d31: float, substrate_t: float,

@@ -99,7 +99,13 @@ def _stepper(base: ScanConfig, field: str):
 
     The step runs solve_scanner's checks as one test, then repeats the operations of
     end_force and of _load inline and in order, as profile_chunks does for _beam;
-    test_hoisted_sweeps_match_reference_bit_for_bit holds it to their bits. It calls
+    test_hoisted_sweeps_match_reference_bit_for_bit holds it to their bits. Of the test it
+    runs per point only what the axis changes: the seven fields that must be > 0 but the
+    swept one are tested once, when the step is made, and a point tests its value (unless
+    field is voltage, which may take either sign) and 0 < a < span; if the base fails, every
+    point does. The force is evaluated left to right, so unless field is beam_width or
+    piezo_t the step keeps its prefix 1.5 * beam_width * piezo_t * piezo_E * d31 and
+    computes prefix * voltage / beam_length, with the bits of the whole expression. It calls
     section and _geometry only while it keeps no result of them: from the first point
     that computes one, it keeps the rigidity unless field is a layer's modulus or
     thickness or beam_width, and the geometry factors unless field is beam_length or
@@ -113,8 +119,13 @@ def _stepper(base: ScanConfig, field: str):
     design = list(base)
     index = base._fields.index(field)
     width_axis = field == "beam_width"
+    signed = field == "voltage"
     keep_rigidity = field not in ("substrate_E", "substrate_t", "piezo_E", "piezo_t", "beam_width")
     keep_geometry = field not in ("beam_length", "mirror_side")
+    keep_prefix = field not in ("beam_width", "piezo_t")
+    checked = all(value > 0 for name, value in zip(base._fields, base)
+                  if name not in ("d31", "voltage", field))
+    prefix = 1.5 * base.beam_width * base.piezo_t * base.piezo_E * base.d31
     unit_section = rigidity = geometry = None
     atan, degrees, isfinite, nan = math.atan, math.degrees, math.isfinite, math.nan
 
@@ -125,9 +136,9 @@ def _stepper(base: ScanConfig, field: str):
          voltage) = design
         a = mirror_side / 2
         span = a + beam_length
-        if (substrate_E > 0 and substrate_t > 0 and piezo_E > 0 and piezo_t > 0 and beam_width > 0
-                and beam_length > 0 and mirror_side > 0 and 0 < a < span):
-            force = 1.5 * beam_width * piezo_t * piezo_E * d31 * voltage / beam_length
+        if checked and (signed or value > 0) and 0 < a < span:
+            force = ((prefix if keep_prefix else 1.5 * beam_width * piezo_t * piezo_E * d31)
+                     * voltage / beam_length)
             try:
                 stiffness = rigidity
                 if stiffness is None:
@@ -148,7 +159,7 @@ def _stepper(base: ScanConfig, field: str):
                     factors = _geometry(a, span)
                     if keep_geometry:
                         geometry = factors
-                ratio, l3, q, y_factor, _ = factors
+                ratio, l3, q, y_factor = factors
                 slope = force * a * l3 / (4 * stiffness * q)
                 r_a = 0.0 - force * ratio
                 tilt_signed = atan(slope)

@@ -472,9 +472,11 @@ def record_outcome(design):
 
 def test_hoisted_sweeps_match_reference_bit_for_bit():
     """sweep_points reuses the rigidity, the unit-width section or the geometry factors that
-    its axis leaves unchanged. Sweeps along all six axes from physical and extreme bases,
-    beams that round a + L to the same span for several mirrors, and bases whose reused stage
-    raises give reference_solve's bits or its error text at every point."""
+    its axis leaves unchanged, the force's prefix, and its test of the unchanged fields.
+    Sweeps along all six axes from physical and extreme bases, beams that round a + L to the
+    same span for several mirrors, bases whose reused stage raises, and bases that fail the
+    one-time test or meet a zero, nan or overflowing prefix give reference_solve's bits or
+    its error text at every point."""
     rng = random.Random(20261020)
     bases = [(physical_design(rng), True) if i % 2
              else (ScanConfig(*(extreme_value(rng) for _ in range(9))), False) for i in range(100)]
@@ -493,6 +495,20 @@ def test_hoisted_sweeps_match_reference_bit_for_bit():
                        (huge_geometry, ("voltage", "piezo_thickness")),
                        (underflow, ("voltage", "mirror_side", "beam_width"))):
         specs += [SweepSpec(base, axis, -2e-3, 2e-3, 41) for axis in axes]
+    # The step tests the fields its axis leaves unchanged once and keeps the force's prefix
+    # 1.5 W t_p E_p d31: each field that must be > 0 at 0 or -1, a + L rounding to a, d31 of
+    # +-0 and nan, and a prefix that overflows, swept along every axis and through 0 V.
+    positive = ("substrate_E", "substrate_t", "piezo_E", "piezo_t", "beam_width", "beam_length",
+                "mirror_side")
+    scanner_a = reference_config()
+    edge_bases = [scanner_a._replace(**{name: bad}) for name in positive for bad in (0.0, -1.0)]
+    edge_bases.append(scanner_a._replace(mirror_side=1.0, beam_length=1e-17))
+    edge_bases += [scanner_a._replace(d31=d31) for d31 in (0.0, -0.0, math.nan)]
+    edge_bases.append(scanner_a._replace(piezo_E=1e100, d31=1e300))
+    for base in edge_bases:
+        specs += [sweep_spec(rng, base, axis, True) for axis in sorted(AXES)]
+        specs += [SweepSpec(base, axis, -2e-3, 2e-3, 41) for axis in sorted(AXES)]
+        specs.append(SweepSpec(base, "voltage", -50.0, 50.0, 41))
     solved = 0
     for spec in specs:
         field = AXES[spec.axis]
