@@ -4,9 +4,8 @@ A substrate carries two identical piezoelectric layers driven with opposite
 polarity. The model is two closed forms: the homogenized section of the
 stack and the end force on the mirror, (3/2) W t_p E_p d31 V / L, accurate
 to a few ulp for every stack. The 4x4 layer system it derives from is a
-check in :mod:`piezoscanner.verification` that no model path calls; that
-system cancels as the piezo layer thins, so it checks physical designs only
-(that module gives the domain and the condition numbers).
+check in :mod:`piezoscanner.verification` that no model path calls. That
+check solves the system exactly, in rationals, so it has no domain limit.
 """
 
 from __future__ import annotations

@@ -4,17 +4,16 @@ Every check takes a design, a :class:`~piezoscanner.sweep.ScanConfig`, and
 reads its model values from one :func:`scanner.solve_scanner` call, the solve
 that every command makes. The layer force resultants and curvature of a
 design at its voltage solve a 4x4 system (in-plane and moment equilibrium,
-two interface continuity conditions). Its tip deflection gives the pipeline
-force 3 EI / L^3 * y_tip, which must equal the solved force to round-off.
-A design of arrays solves all its 4x4 systems in one call, to the bits of
-solving each alone; `checks` draws its 1,000 designs so. Its
-`normalization_independence` compares each solved rigidity with the layer
-sum :func:`layer_rigidity`, which shares no formula with `section`. The
-profile checks read both half-profile branches as scanner evaluates them
+two interface continuity conditions). :func:`layer_solution` solves it
+exactly, in rationals, for any stack of positive fields: the layer check has
+no domain limit. Its end force, :func:`exact_force`, is (3/2) W t_p E_p d31 V / L
+exactly, and the solved force must equal it to round-off.
+`normalization_independence` compares each solved rigidity with the layer sum
+:func:`layer_rigidity`, which shares no formula with `section`. The profile
+checks read both half-profile branches as scanner evaluates them
 (:func:`branches`), and `profile_sampling` holds scanner's sampled profile to
-them at the same u, bit for bit.
-No model path calls this module; the CLI loads it, and numpy with it, only
-for `verify`.
+them at the same u, bit for bit. No model path calls this module; the CLI
+loads it, and numpy and fractions with it, only for `verify`.
 
 Domain. :data:`PHYSICAL_RANGES` is the one physical domain: moduli of 10-500 GPa,
 layers 0.2-20 um thick, widths of 5-200 um, lengths of 100-2000 um, mirrors of
@@ -23,17 +22,13 @@ and names only its options: :func:`random_design` draws d31 < 0 and V of either 
 the tests' `physical_designs` draws d31 of either sign, or zero unless `d31_nonzero`,
 and V as its named drive says: zero or either sign, either sign but nonzero, or
 positive; `test_scanner.physical_design` draws d31 and V uniform through zero.
-
-The formulation cancels as the piezo layer thins: the condition number is
-6.4e5 at Scanner A's 1 um and 1.5e15 at 1e-14 um, where the pipeline force is
-off by up to 4.3%, and equilibrating rows and columns does not remove the
-error.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -47,65 +42,64 @@ def piezo_strains(design) -> tuple[float, float]:
     return -s, +s
 
 
-def _assemble_system(design):
-    """Build the (..., 4, 4) system in the unknowns (p1, p2, p3, kappa) and its (..., 4, 1)
-    right-hand side, one per design when the fields are arrays.
+def _layer_system(design) -> list[list[int]]:
+    """The design's 4x4 layer system, made triangular in exact integers.
 
-    Rows: in-plane equilibrium, moment equilibrium about the substrate
-    bottom, substrate/lower-piezo interface continuity, piezo/piezo
-    interface continuity. Powers are products here and below, not ``**``: numpy's
-    array power and libm's pow differ in the last bit, and a batched solve must give
-    each design's bits.
+    Unknowns (p1, p2, p3, kappa): the layer force resultants per unit width (N/m) and the
+    beam curvature (1/m). Rows: in-plane equilibrium, moment equilibrium about the substrate
+    bottom, and continuity at the substrate/piezo and piezo/piezo interfaces, in the
+    Fractions of the design's fields, with two right-hand sides: the drive at the design's
+    voltage, and a unit bending moment per unit width with no drive. Each row is scaled to
+    integers, and Bareiss's elimination divides each step exactly by the previous pivot. The
+    pivots are the leading minors, positive for a stack of positive fields, so no row is
+    swapped. The last row is (0, 0, 0, det, det kappa, det kappa_1), with kappa_1 the
+    curvature per unit moment.
     """
-    es, ts, ep, tp = design.substrate_E, design.substrate_t, design.piezo_E, design.piezo_t
-    s1, s2 = piezo_strains(design)
+    exact = sweep.ScanConfig(*map(Fraction, design))
+    es, ts, ep, tp = exact.substrate_E, exact.substrate_t, exact.piezo_E, exact.piezo_t
+    s1, s2 = piezo_strains(exact)
     rows = (
-        (1.0, 1.0, 1.0, 0.0),
-        (ts / 2, ts + tp / 2, ts + 1.5 * tp, (es * (ts * ts * ts) + 2 * ep * (tp * tp * tp)) / 12),
-        (1 / (es * ts), -1 / (ep * tp), 0.0, (ts + tp) / 2),
-        (0.0, 1 / (ep * tp), -1 / (ep * tp), tp),
+        (1, 1, 1, 0, 0, 0),
+        (ts / 2, ts + tp / 2, ts + 3 * tp / 2, (es * ts**3 + 2 * ep * tp**3) / 12, 0, 1),
+        (1 / (es * ts), -1 / (ep * tp), 0, (ts + tp) / 2, s1, 0),
+        (0, 1 / (ep * tp), -1 / (ep * tp), tp, s2 - s1, 0),
     )
-    shape = np.broadcast(es, ts, ep, tp, s1, s2).shape
-    a = np.empty(shape + (4, 4))
-    for i, row in enumerate(rows):
-        for j, entry in enumerate(row):
-            a[..., i, j] = entry
-    b = np.zeros(shape + (4, 1))
-    b[..., 2, 0] = s1
-    b[..., 3, 0] = s2 - s1
-    return a, b
+    scales = [math.lcm(*(entry.denominator for entry in row)) for row in rows]
+    matrix = [[entry.numerator * (scale // entry.denominator) for entry in row]
+              for row, scale in zip(rows, scales)]
+    for k in range(3):
+        pivot, previous = matrix[k][k], matrix[k - 1][k - 1] if k else 1
+        matrix[k + 1:] = [[(pivot * a - row[k] * b) // previous for a, b in zip(row, matrix[k])]
+                          for row in matrix[k + 1:]]
+    return matrix
 
 
-def solve_curvature(design):
-    """(p1, p2, p3, kappa): the layer force resultants per unit width (N/m) and the
-    beam curvature (1/m), floats for a design of floats and arrays for one of arrays.
-    All designs are solved in one call."""
-    a, b = _assemble_system(design)
-    try:
-        solution = np.linalg.solve(a, b)[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"degenerate stack: {exc}") from exc
-    return tuple(np.moveaxis(solution, -1, 0))
+def layer_solution(design) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """(p1, p2, p3, kappa) of the design at its voltage, exactly: :func:`_layer_system`
+    back-substituted."""
+    x = [0, 0, 0, 0]
+    for i, row in reversed(list(enumerate(_layer_system(design)))):
+        x[i] = Fraction(row[4] - sum(a * b for a, b in zip(row[i + 1:4], x[i + 1:])), row[i])
+    return tuple(x)
 
 
-def tip_deflection(design):
-    """Free tip deflection of the cantilevered stack: kappa * L^2 / 2."""
-    length = design.beam_length
-    return solve_curvature(design)[3] * (length * length) / 2
-
-
-def pipeline_force(design, rigidity):
-    """End force from the 4x4 pipeline at the design's rigidity: 3 * rigidity / L^3 * y_tip."""
-    length = design.beam_length
-    return 3 * rigidity / (length * length * length) * tip_deflection(design)
+def exact_force(design) -> Fraction:
+    """The end force 3 EI kappa / (2 L) of the exact layer system: kappa its curvature under
+    the drive, and EI = W / kappa_1 from its curvature kappa_1 under a unit moment per unit
+    width, which equals :func:`layer_rigidity` in rationals. Both curvatures share the
+    system's det, which cancels."""
+    *_, drive, moment = _layer_system(design)[3]
+    return 3 * Fraction(design.beam_width) * drive / (2 * Fraction(design.beam_length) * moment)
 
 
 def layer_rigidity(design):
     """Flexural rigidity summed layer by layer, each in its own modulus, with no normalizing
     modulus: h = sum(E t c) / sum(E t) over the layer mid-heights c, then
-    W * sum(E (t^3/12 + t (h - c)^2))."""
+    W * sum(E (t^3/12 + t (h - c)^2)). Exact on a design of Fractions, as it has no float
+    literal. Cubes are products, not ``**``: on arrays, numpy's power and libm's pow differ
+    in the last bit."""
     es, ts, ep, tp = design.substrate_E, design.substrate_t, design.piezo_E, design.piezo_t
-    cs, c1, c2 = ts / 2, ts + tp / 2, ts + 1.5 * tp
+    cs, c1, c2 = ts / 2, ts + tp / 2, ts + 3 * tp / 2
     ks, kp = es * ts, ep * tp  # axial stiffness per unit width
     h = (ks * cs + kp * c1 + kp * c2) / (ks + kp + kp)
     ds, d1, d2 = h - cs, h - c1, h - c2
@@ -187,7 +181,8 @@ def _sampling_residual(samples: int, force: float, a: float, span: float, rigidi
 
 def checks(nodes: int):
     """Yield (name, residual, tolerance) for the whole verification suite."""
-    force, rigidity, a, span, _, _, y_max, _ = scanner.solve_scanner(*sweep.reference_config())
+    reference = sweep.reference_config()
+    force, rigidity, a, span, _, _, y_max, _ = scanner.solve_scanner(*reference)
     # Scanner A's 2,048 samples are bumped to 2,049, whose left half and center fill one
     # 1,024-row chunk and start the next. That profile is the line's main cost, so three
     # drawn designs take 101, 100 and 5 samples.
@@ -210,22 +205,25 @@ def checks(nodes: int):
     yield "oracle_midspan_reaction", abs(fd_half.reaction - target) / abs(target), 5e-3
 
     drawn = random_design(np.random.default_rng(20260824), 1000)
-    forces, rigidities = [], []
+    rigidities = []
     worst_profile = 0.0
     for i, fields in enumerate(np.column_stack(drawn).tolist()):
         force, rigidity, a, span, _, tilt_signed, y_max, _ = scanner.solve_scanner(*fields)
-        forces.append(force)
         rigidities.append(rigidity)
         if i < 3:
             sampled.append(((101, 100, 5)[i], force, a, span, rigidity, y_max))
         if i % 10 == 0:  # the profile checks, ~11 us a design, on 100 of them
             worst_profile = max(worst_profile,
                                 _profile_residual(force, a, span, rigidity, tilt_signed) / y_max)
-    forces, rigidities = np.array(forces), np.array(rigidities)
-    worst_identity = float(np.max(np.abs(pipeline_force(drawn, rigidities) - forces)
-                                  / np.abs(forces)))
+    rigidities = np.array(rigidities)
     worst_norm = float(np.max(np.abs(layer_rigidity(drawn) - rigidities) / rigidities))
-    yield "closed_form_identity", worst_identity, 1e-10
+    # The exact layer system on Scanner A, on it with ever thinner piezo layers, and on
+    # every 100th drawn design: |F / F_exact - 1| in rationals, rounded once.
+    exact_designs = [reference, *(reference._replace(piezo_t=t) for t in (1e-20, 1e-100, 1e-300)),
+                     *map(sweep.ScanConfig._make, np.column_stack(drawn)[::100].tolist())]
+    identity = max(abs(Fraction(scanner.solve_scanner(*design)[0]) / exact_force(design) - 1)
+                   for design in exact_designs)
+    yield "closed_form_identity", float(identity), 1e-10
     yield "normalization_independence", worst_norm, 1e-12
     yield "profile_invariants", worst_profile, 1e-12
     yield "profile_sampling", float(np.max([_sampling_residual(*args) for args in sampled])), 0.0

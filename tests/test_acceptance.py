@@ -102,6 +102,20 @@ def test_sampling_line_fails_on_a_reassociated_sampler(monkeypatch):
     assert failed == ["profile_sampling"]
 
 
+def test_identity_line_fails_on_a_wrong_force(monkeypatch):
+    """An end force whose factor 1.5 is off by one part in a million fails
+    closed_form_identity, whose reference is the exact layer system, and the other eight
+    lines, which read one solve's force on both sides, pass."""
+    source = inspect.getsource(multimorph.end_force)
+    mutant_source = source.replace("return 1.5 * width", "return 1.5000015 * width")
+    assert mutant_source != source
+    namespace = dict(vars(multimorph))
+    exec(mutant_source, namespace)
+    monkeypatch.setattr(scanner, "end_force", namespace["end_force"])
+    failed = [name for name, residual, tol in verification.checks(2001) if not residual <= tol]
+    assert failed == ["closed_form_identity"]
+
+
 def test_criterion_2_closed_form_identity(suite):
     residuals, elapsed = suite
     worst = residuals["closed_form_identity"]

@@ -672,8 +672,9 @@ def test_readme_pins_pass_without_numpy():
 @pytest.mark.parametrize("flags", [(), ("-S",)], ids=["site", "no-site"])
 def test_cli_import_loads_no_scipy(config_path, tmp_path, flags):
     """Neither scipy nor numpy loads for the import or any command but verify, nor
-    configparser, since config.py reads its own line grammar, nor array, which only profile
-    loads, for the import. Under -S, with no site hook that may load them itself, neither do
+    fractions, which only verify's exact layer check reads, nor configparser, since
+    config.py reads its own line grammar, nor array, which only profile loads, for the
+    import. Under -S, with no site hook that may load them itself, neither do
     dataclasses, inspect or tempfile."""
     src = os.path.dirname(os.path.dirname(piezoscanner.__file__))
     probe = textwrap.dedent(
@@ -689,7 +690,7 @@ def test_cli_import_loads_no_scipy(config_path, tmp_path, flags):
                      ["sweep", "--config", cfg, "--axis", "voltage", "--from=0", "--to=50",
                       "--steps", "3"], ["table1"]):
             assert cli.run([*argv, "--out", out]) == 0, argv
-            for name in ('numpy', 'configparser'):
+            for name in ('numpy', 'fractions', 'configparser'):
                 assert name not in sys.modules, f'{name} imported by {argv[0]}'
             if sys.flags.no_site:
                 for name in ('dataclasses', 'inspect', 'tempfile'):

@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,15 +14,14 @@ from piezoscanner.scanner import solve_scanner
 from piezoscanner.sweep import ScanConfig, reference_config
 from piezoscanner.verification import (
     PHYSICAL_RANGES,
+    exact_force,
     layer_rigidity,
-    pipeline_force,
+    layer_solution,
     piezo_strains,
     random_design,
-    solve_curvature,
-    tip_deflection,
 )
 
-from conftest import DRIVES, physical_designs
+from conftest import DRIVES, physical_designs, signed
 
 # Frozen reference values for Scanner A at 50 V, computed from an
 # independent assembly and solve of the equilibrium/continuity equations
@@ -66,77 +67,113 @@ class TestStrains:
         assert s[0] == -s[1]
 
 
+def exact(design: ScanConfig) -> ScanConfig:
+    """The design with each field as the Fraction of its float."""
+    return ScanConfig(*map(Fraction, design))
+
+
+def tip_deflection(design: ScanConfig) -> Fraction:
+    """Free tip deflection of the cantilevered stack, kappa * L^2 / 2, exactly."""
+    return layer_solution(design)[3] * exact(design).beam_length ** 2 / 2
+
+
+def wide_designs():
+    """Hypothesis strategy for designs far outside the physical domain, where the layer
+    system is ill conditioned in floats: every field 10^U(-30, 30) and the piezo layer
+    10^U(-300, 30) thick, d31 and the voltage of either sign (physical_designs() draws the
+    zero drives)."""
+    def decades(lo=-30, hi=30):
+        return st.floats(lo, hi).map(lambda exponent: 10.0**exponent)
+
+    fields = {name: decades() for name in ScanConfig._fields}
+    fields["piezo_t"] = decades(-300, 30)
+    fields["d31"] = signed(decades())
+    fields["voltage"] = signed(decades())
+    return st.builds(ScanConfig, **fields)
+
+
 class TestCurvature:
     def test_zero_voltage(self):
-        sol = solve_curvature(SCANNER_A._replace(voltage=0.0))
-        assert sol == (0.0, 0.0, 0.0, 0.0)
+        sol = layer_solution(SCANNER_A._replace(voltage=0.0))
+        assert sol == (0, 0, 0, 0)
 
     def test_zero_d31(self):
-        sol = solve_curvature(SCANNER_A._replace(d31=0.0))
-        assert sol[3] == 0.0
+        sol = layer_solution(SCANNER_A._replace(d31=0.0))
+        assert sol == (0, 0, 0, 0)
 
     def test_reference_curvature(self):
-        sol = solve_curvature(SCANNER_A)
-        assert sol[3] == pytest.approx(REF_KAPPA, rel=1e-9)
-        assert abs(sol[3]) == pytest.approx(2.7e2, rel=0.01)
+        kappa = float(layer_solution(SCANNER_A)[3])
+        assert kappa == pytest.approx(REF_KAPPA, rel=1e-9)
+        assert abs(kappa) == pytest.approx(2.7e2, rel=0.01)
 
-    @given(design=physical_designs())
+    @given(design=st.one_of(physical_designs(), wide_designs()))
     def test_equilibrium_and_residuals(self, design):
-        sol = solve_curvature(design)
-        es, ts = design.substrate_E, design.substrate_t
-        ep, tp = design.piezo_E, design.piezo_t
-        s = piezo_strains(design)
-
-        scale = max(abs(sol[0]), abs(sol[1]), abs(sol[2]), 1e-300)
-        assert abs(sol[0] + sol[1] + sol[2]) <= 1e-10 * scale
-
-        moment_terms = [
-            ts / 2 * sol[0],
-            (ts + tp / 2) * sol[1],
-            (ts + 1.5 * tp) * sol[2],
-            (es * ts**3 + 2 * ep * tp**3) / 12 * sol[3],
-        ]
-        m_scale = max(abs(t) for t in moment_terms) or 1e-300
-        assert abs(sum(moment_terms)) <= 1e-10 * m_scale
-
-        iface1 = [
-            sol[0] / (es * ts),
-            -sol[1] / (ep * tp),
-            (ts + tp) / 2 * sol[3],
-            -s[0],
-        ]
-        i1_scale = max(abs(t) for t in iface1) or 1e-300
-        assert abs(sum(iface1)) <= 1e-10 * i1_scale
-
-        iface2 = [
-            sol[1] / (ep * tp),
-            -sol[2] / (ep * tp),
-            tp * sol[3],
-            -(s[1] - s[0]),
-        ]
-        i2_scale = max(abs(t) for t in iface2) or 1e-300
-        assert abs(sum(iface2)) <= 1e-10 * i2_scale
+        """The four rows hold exactly: in-plane and moment equilibrium, and continuity at
+        both interfaces."""
+        p1, p2, p3, kappa = layer_solution(design)
+        fields = exact(design)
+        es, ts = fields.substrate_E, fields.substrate_t
+        ep, tp = fields.piezo_E, fields.piezo_t
+        s1, s2 = piezo_strains(fields)
+        assert p1 + p2 + p3 == 0
+        assert (ts / 2 * p1 + (ts + tp / 2) * p2 + (ts + 3 * tp / 2) * p3
+                + (es * ts**3 + 2 * ep * tp**3) / 12 * kappa) == 0
+        assert p1 / (es * ts) - p2 / (ep * tp) + (ts + tp) / 2 * kappa == s1
+        assert p2 / (ep * tp) - p3 / (ep * tp) + tp * kappa == s2 - s1
 
 
 class TestTipDeflection:
     def test_zero_voltage(self):
-        assert tip_deflection(SCANNER_A._replace(voltage=0.0)) == 0.0
+        assert tip_deflection(SCANNER_A._replace(voltage=0.0)) == 0
 
     def test_reference_value(self):
-        y = tip_deflection(SCANNER_A)
+        y = float(tip_deflection(SCANNER_A))
         assert y == pytest.approx(REF_TIP, rel=1e-9)
         assert abs(y) == pytest.approx(9.7e-5, rel=0.01)
 
     def test_linearity_in_voltage(self):
         y1 = tip_deflection(SCANNER_A._replace(voltage=25.0))
         y2 = tip_deflection(SCANNER_A._replace(voltage=50.0))
-        assert y2 == pytest.approx(2 * y1, rel=1e-12)
+        assert y2 == 2 * y1
 
     @given(design=physical_designs(drive="positive"))
     def test_voltage_negation(self, design):
-        assert tip_deflection(design._replace(voltage=-design.voltage)) == pytest.approx(
-            -tip_deflection(design), rel=1e-12, abs=0.0
-        )
+        assert tip_deflection(design._replace(voltage=-design.voltage)) == -tip_deflection(design)
+
+
+def test_exact_values_are_fractions():
+    """The exact solve, the exact force and layer_rigidity on a design of Fractions stay in
+    rationals: no float literal turns them back into floats."""
+    assert {type(value) for value in layer_solution(SCANNER_A)} == {Fraction}
+    assert type(exact_force(SCANNER_A)) is Fraction
+    assert type(layer_rigidity(exact(SCANNER_A))) is Fraction
+
+
+def assert_exact_force(design: ScanConfig, force: float | None) -> None:
+    """The exact layer system's force is (3/2) W t_p E_p d31 V / L as a rational. The
+    solved force, unless None (the solve failed), is 0 for a zero drive and, where it is a
+    normal float, within 8 ulp of the exact force."""
+    fields = exact(design)
+    force_exact = exact_force(design)
+    assert force_exact == (Fraction(3, 2) * fields.beam_width * fields.piezo_t * fields.piezo_E
+                           * fields.d31 * fields.voltage / fields.beam_length)
+    if force is None:
+        return
+    if design.d31 * design.voltage == 0:
+        assert force == force_exact == 0
+    elif abs(force) >= sys.float_info.min and math.isfinite(force):
+        assert abs(Fraction(force) - force_exact) <= 8 * Fraction(math.ulp(force))
+
+
+@given(design=st.one_of(physical_designs(), wide_designs()))
+def test_exact_force_is_the_closed_form(design):
+    """assert_exact_force over the model's whole range: physical designs, and designs
+    across decades with piezo layers down to 1e-300 m, whether the solve succeeds or not."""
+    try:
+        force = solve_scanner(*design)[0]
+    except ValueError:
+        force = None
+    assert_exact_force(design, force)
 
 
 class TestEquivalentSection:
@@ -208,38 +245,28 @@ class TestEquivalentForce:
 
     @given(design=physical_designs())
     def test_pipeline_equals_closed_form(self, design):
-        """The 4x4 pipeline at the solved rigidity gives the solved force."""
-        force, rigidity = solve_scanner(*design)[:2]
+        """The exact pipeline 3 EI / L^3 * y_tip, with EI the layer sum in rationals, is the
+        exact force, and the solved force is the closed form, within 8 ulp of it."""
+        force = solve_scanner(*design)[0]
         assert force == force_of(design)
-        assert abs(pipeline_force(design, rigidity) - force) <= 1e-12 * max(abs(force), 1e-300)
+        fields = exact(design)
+        pipeline = 3 * layer_rigidity(fields) / fields.beam_length**3 * tip_deflection(design)
+        assert pipeline == exact_force(design)
+        assert abs(Fraction(force) - pipeline) <= 8 * Fraction(math.ulp(force))
+
+    @pytest.mark.parametrize("piezo_t", [1e-14, 1e-18, 1e-20, 1e-24, 1e-100, 1e-300])
+    def test_thin_piezo_force_is_exact(self, piezo_t):
+        """Scanner A with its piezo layer thinned to where a float solve of the 4x4 system
+        errs, relative to the force, by 4.0e-5 (1e-18 m), 3.7e-3 (1e-20 m) and 180
+        (1e-24 m): the exact force is still the closed form, and the solved force within
+        8 ulp of it."""
+        design = SCANNER_A._replace(piezo_t=piezo_t)
+        assert_exact_force(design, solve_scanner(*design)[0])
 
     @given(design=physical_designs(d31_nonzero=True, drive="positive"))
     def test_linearity_in_d31(self, design):
         doubled = design._replace(d31=2 * design.d31)
         assert force_of(doubled) == pytest.approx(2 * force_of(design), rel=1e-9)
-
-
-def bits(values) -> np.ndarray:
-    """The IEEE bit patterns of values, so that -0.0 differs from 0.0 and nan matches."""
-    return np.asarray(values, dtype=np.float64).view(np.uint64)
-
-
-class TestBatchedReference:
-    """The 4x4 reference on a design of arrays, as `verify` draws and solves its designs."""
-
-    @pytest.mark.parametrize("seed, size", [(20260824, 1000), (11, 5000), (12, 5000),
-                                            (13, 5000), (14, 5000)])
-    def test_batched_solve_is_per_design_bit_for_bit(self, seed, size):
-        """One batched solve_curvature and pipeline_force give the bits of a call per design:
-        `checks`' own draw (seed 20260824, 1,000 designs) and four draws of 5,000."""
-        drawn = random_design(np.random.default_rng(seed), size)
-        designs = [ScanConfig(*fields) for fields in np.column_stack(drawn).tolist()]
-        rigidities = [solve_scanner(*design)[1] for design in designs]
-        assert np.array_equal(bits(np.column_stack(solve_curvature(drawn))),
-                              bits([solve_curvature(design) for design in designs]))
-        assert np.array_equal(bits(pipeline_force(drawn, np.array(rigidities))),
-                              bits([pipeline_force(design, rigidity)
-                                    for design, rigidity in zip(designs, rigidities)]))
 
 
 class TestPhysicalDomain:
