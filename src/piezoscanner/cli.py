@@ -203,7 +203,7 @@ def _cmd_verify(args) -> int:
         "assumed constants: "
         f"silicon E={_fmt(materials.SILICON_E)} Pa, "
         f"pzt-5h E={_fmt(materials.PZT5H_E)} Pa "
-        f"d31={_fmt(materials.PZT5H_D31)} m/V s11E={_fmt(materials.PZT5H_S11E)} 1/Pa"
+        f"d31={_fmt(materials.PZT5H_D31)} m/V"
     )
     failures = 0
     for name, residual, tol in verification.checks(args.nodes):

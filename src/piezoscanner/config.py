@@ -5,7 +5,7 @@ Sections and keys:
     [material.substrate]   name            (built-in material) -- or --
                            E_GPa           (explicit constant)
     [material.piezo]       name                                -- or --
-                           E_GPa, d31_pm_per_V, s11E_per_TPa (optional)
+                           E_GPa, d31_pm_per_V
     [geometry]             beam_length_um, beam_width_um,
                            substrate_thickness_um, piezo_thickness_um,
                            mirror_side_um
@@ -19,18 +19,18 @@ names its line number, as is a repeated section or key. Keys are
 case-sensitive. Unknown sections or keys are errors; each material section
 takes either a built-in name (``silicon`` or ``pzt-5h``, any case) or
 explicit constants, never both. A built-in name stands for its SI constants
-in ``_BUILTIN``; from there both forms take the same s11E reciprocity check
-and piezo d31 check. Units are fixed by the key suffixes; the key table
-below holds each key's SI scale, and values are converted here, at the
-boundary. Parsing yields a :class:`~piezoscanner.sweep.ScanConfig`, the one
-design carrier past this boundary.
+in ``_BUILTIN``; from there both forms take the same piezo d31 check. Units
+are fixed by the key suffixes; the key table below holds each key's SI scale,
+and values are converted here, at the boundary. Parsing yields a
+:class:`~piezoscanner.sweep.ScanConfig`, the one design carrier past this
+boundary.
 """
 
 from __future__ import annotations
 
 import math
 
-from .materials import PZT5H_D31, PZT5H_E, PZT5H_S11E, SILICON_E
+from .materials import PZT5H_D31, PZT5H_E, SILICON_E
 from .sweep import ScanConfig
 
 
@@ -41,7 +41,7 @@ class ConfigError(ValueError):
 # Section -> key -> SI scale of the unit in the key's suffix (None: not a number).
 _SECTION_KEYS = {
     "material.substrate": {"name": None, "E_GPa": 1e9},
-    "material.piezo": {"name": None, "E_GPa": 1e9, "d31_pm_per_V": 1e-12, "s11E_per_TPa": 1e-12},
+    "material.piezo": {"name": None, "E_GPa": 1e9, "d31_pm_per_V": 1e-12},
     "geometry": {
         "beam_length_um": 1e-6,
         "beam_width_um": 1e-6,
@@ -55,7 +55,7 @@ _SECTION_KEYS = {
 # Built-in material name -> the material section's keys, with values already in SI.
 _BUILTIN = {
     "silicon": {"E_GPa": SILICON_E},
-    "pzt-5h": {"E_GPa": PZT5H_E, "d31_pm_per_V": PZT5H_D31, "s11E_per_TPa": PZT5H_S11E},
+    "pzt-5h": {"E_GPa": PZT5H_E, "d31_pm_per_V": PZT5H_D31},
 }
 
 
@@ -91,15 +91,7 @@ def _material(section: str, raw: dict[str, str]) -> tuple[float, float | None]:
             raise ConfigError(f"{section}: missing required key E_GPa (or name)")
         si = {key: _si(section, key, raw[key], positive=key == "E_GPa")
               for key in _SECTION_KEYS[section] if key in raw}
-    e = si["E_GPa"]
-    if "s11E_per_TPa" in si:
-        recip = e * si["s11E_per_TPa"]
-        if abs(recip - 1.0) > 1e-6:
-            raise ConfigError(
-                f"{section}: {section.split('.')[-1]}: s11E is not the reciprocal of E "
-                f"(E*s11E = {recip:.9g})"
-            )
-    return e, si.get("d31_pm_per_V")
+    return si["E_GPa"], si.get("d31_pm_per_V")
 
 
 def parse_config(text: str) -> ScanConfig:

@@ -2,11 +2,9 @@
 
 These are standard datasheet values; they are assumptions of this model and
 can be overridden through the config file, whose key table in
-:mod:`piezoscanner.config` names them as built-in materials. s11E is stored
-as the exact reciprocal of E (datasheet 16.5 per TPa rounds the same modulus).
+:mod:`piezoscanner.config` names them as built-in materials.
 """
 
 SILICON_E = 169e9
 PZT5H_E = 60.6e9
 PZT5H_D31 = -274e-12
-PZT5H_S11E = 1.0 / PZT5H_E

@@ -99,67 +99,53 @@ def _stepper(base: ScanConfig, field: str):
 
     The step runs solve_scanner's checks as one test, then repeats the operations of
     end_force and of _load inline and in order, as profile_chunks does for _beam;
-    test_hoisted_sweeps_match_reference_bit_for_bit holds it to their bits. Of the test it
-    runs per point only what the axis changes: the seven fields that must be > 0 but the
-    swept one are tested once, when the step is made, and a point tests its value (unless
-    field is voltage, which may take either sign) and 0 < a < span; if the base fails, every
-    point does. The force is evaluated left to right, so unless field is beam_width or
-    piezo_t the step keeps its prefix 1.5 * beam_width * piezo_t * piezo_E * d31 and
-    computes prefix * voltage / beam_length, with the bits of the whole expression. It calls
-    section and _geometry only while it keeps no result of them: from the first point
-    that computes one, it keeps the rigidity unless field is a layer's modulus or
-    thickness or beam_width, and the geometry factors unless field is beam_length or
-    mirror_side. On beam_width it keeps a unit-width section instead: the width enters
-    the section only as the last factor of its inertia, width * K, and a unit width gives
-    1.0 * K = K exactly, so e_ref * (beam_width * K) is section's rigidity. A kept part
-    has the bits of computing it again. A point that fails the test, raises, or has a
-    non-finite result goes through solve_scanner, and the error text that it raises is
-    the point's status.
+    test_hoisted_sweeps_match_reference_bit_for_bit holds it to their bits. Each part of
+    the solve that does not read field is computed once, when the step is made: the test of
+    the other fields that must be > 0, the force's left-to-right prefix
+    1.5 * beam_width * piezo_t * piezo_E * d31, the section at unit width and the geometry
+    factors. A point tests its value (unless field is d31 or voltage, which may take either
+    sign) and 0 < a < span; if the base fails, every point does. The width enters the
+    section only as the last factor of its inertia, width * K, and a unit width gives
+    1.0 * K = K exactly, so e_ref * (beam_width * K) is section's rigidity at any width.
+    A kept part has the bits of computing it again; one that raises on the base is
+    computed at each point. A point that fails the test, raises, or has a non-finite result
+    goes through solve_scanner, and the error text that it raises is the point's status.
     """
     design = list(base)
     index = base._fields.index(field)
-    width_axis = field == "beam_width"
-    signed = field == "voltage"
-    keep_rigidity = field not in ("substrate_E", "substrate_t", "piezo_E", "piezo_t", "beam_width")
-    keep_geometry = field not in ("beam_length", "mirror_side")
-    keep_prefix = field not in ("beam_width", "piezo_t")
+    signed = field in ("d31", "voltage")
     checked = all(value > 0 for name, value in zip(base._fields, base)
                   if name not in ("d31", "voltage", field))
-    prefix = 1.5 * base.beam_width * base.piezo_t * base.piezo_E * base.d31
-    unit_section = rigidity = geometry = None
+    prefix = unit = geometry = None
+    if field not in ("beam_width", "piezo_t", "piezo_E", "d31"):
+        prefix = 1.5 * base.beam_width * base.piezo_t * base.piezo_E * base.d31
+    if field not in ("substrate_E", "substrate_t", "piezo_E", "piezo_t"):
+        try:
+            unit = section(base.substrate_E, base.substrate_t, base.piezo_E, base.piezo_t, 1.0)
+        except ValueError:
+            pass
+    if field not in ("beam_length", "mirror_side"):
+        a = base.mirror_side / 2
+        try:
+            geometry = _geometry(a, a + base.beam_length)
+        except ValueError:
+            pass
     atan, degrees, isfinite, nan = math.atan, math.degrees, math.isfinite, math.nan
 
     def step(value):
-        nonlocal unit_section, rigidity, geometry
         design[index] = value
         (substrate_E, piezo_E, d31, substrate_t, piezo_t, beam_width, beam_length, mirror_side,
          voltage) = design
         a = mirror_side / 2
         span = a + beam_length
         if checked and (signed or value > 0) and 0 < a < span:
-            force = ((prefix if keep_prefix else 1.5 * beam_width * piezo_t * piezo_E * d31)
+            force = ((1.5 * beam_width * piezo_t * piezo_E * d31 if prefix is None else prefix)
                      * voltage / beam_length)
             try:
-                stiffness = rigidity
-                if stiffness is None:
-                    if width_axis:
-                        unit = unit_section
-                        if unit is None:
-                            unit = unit_section = section(substrate_E, substrate_t, piezo_E,
-                                                          piezo_t, 1.0)
-                        _, i_unit, e_ref, _ = unit
-                        stiffness = e_ref * (beam_width * i_unit)
-                    else:
-                        stiffness = section(substrate_E, substrate_t, piezo_E, piezo_t,
-                                            beam_width)[3]
-                        if keep_rigidity:
-                            rigidity = stiffness
-                factors = geometry
-                if factors is None:
-                    factors = _geometry(a, span)
-                    if keep_geometry:
-                        geometry = factors
-                ratio, l3, q, y_factor = factors
+                _, i_unit, e_ref, _ = unit or section(substrate_E, substrate_t, piezo_E,
+                                                      piezo_t, 1.0)
+                stiffness = e_ref * (beam_width * i_unit)
+                ratio, l3, q, y_factor = geometry or _geometry(a, span)
                 slope = force * a * l3 / (4 * stiffness * q)
                 r_a = 0.0 - force * ratio
                 tilt_signed = atan(slope)

@@ -53,15 +53,12 @@ class TestParseConfig:
     def test_explicit_constants(self):
         text = SCANNER_A_CFG.replace("name = silicon", "E_GPa = 169").replace(
             "[material.piezo]\nname = pzt-5h",
-            "[material.piezo]\nE_GPa = 60.6\nd31_pm_per_V = -274\ns11E_per_TPa = 16.5016502",
+            "[material.piezo]\nE_GPa = 60.6\nd31_pm_per_V = -274",
         )
         config = parse_config(text)
         assert config.substrate_E == pytest.approx(169e9, rel=1e-15)
         assert config.piezo_E == pytest.approx(60.6e9, rel=1e-15)
         assert config.d31 == pytest.approx(-274e-12, rel=1e-15)
-        # s11E is checked, not kept: 16.5016502 per TPa passes E * s11E = 1 only at 1e-12 scale.
-        with pytest.raises(ConfigError, match="reciprocal"):
-            parse_config(text.replace("16.5016502", "16.5016502e3"))
 
     def test_name_and_constants_rejected(self):
         text = SCANNER_A_CFG.replace(
@@ -177,7 +174,7 @@ class TestModelCommand:
     @pytest.mark.parametrize("edit, sweep", [
         (("voltage_V = 50", "voltage_V = -0"), ["beam_length", "--from=500e-6", "--to=850e-6"]),
         (("[material.piezo]\nname = pzt-5h",
-          "[material.piezo]\nE_GPa = 60.6\nd31_pm_per_V = 0\ns11E_per_TPa = 16.5016502"),
+          "[material.piezo]\nE_GPa = 60.6\nd31_pm_per_V = 0"),
          ["voltage", "--from=-1", "--to=1"]),
     ], ids=["voltage-minus-0", "d31-0"])
     def test_zero_drive_writes_no_negative_zero(self, tmp_path, capsys, edit, sweep):
@@ -311,7 +308,7 @@ class TestProfileCommand:
     @pytest.mark.parametrize("edit", [
         ("voltage_V = 50", "voltage_V = 0"),
         ("[material.piezo]\nname = pzt-5h",
-         "[material.piezo]\nE_GPa = 60.6\nd31_pm_per_V = 0\ns11E_per_TPa = 16.5016502"),
+         "[material.piezo]\nE_GPa = 60.6\nd31_pm_per_V = 0"),
     ], ids=["voltage-0", "d31-0"])
     def test_zero_drive_writes_no_negative_zero(self, tmp_path, edit):
         """At zero drive every ordinate is 0, in both halves, never -0."""
@@ -560,7 +557,8 @@ class TestVerifyCommand:
     def test_verify_passes(self, capsys):
         assert run(["verify", "--nodes", "801"]) == 0
         stdout = capsys.readouterr().out
-        assert "assumed constants" in stdout
+        assert stdout.splitlines()[0] == ("assumed constants: silicon E=1.69e+11 Pa, "
+                                          "pzt-5h E=6.06e+10 Pa d31=-2.74e-10 m/V")
         assert "closed_form_identity" in stdout
         assert "FAIL" not in stdout
 

@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from piezoscanner import config, materials
 from piezoscanner.config import ConfigError, parse_config
 
 GEOMETRY_AND_DRIVE = """
@@ -37,8 +36,6 @@ class TestRegistry:
         parsed = _parse("name = silicon", "name = pzt-5h")
         assert parsed.piezo_E == 60.6e9
         assert parsed.d31 == -274e-12
-        # datasheet compliance, stored as the exact reciprocal of E
-        assert materials.PZT5H_S11E == pytest.approx(16.5e-12, rel=1e-3)
         # a passive layer may be made of it: only its E is used there
         assert _parse("name = pzt-5h", "name = pzt-5h").substrate_E == 60.6e9
 
@@ -50,17 +47,6 @@ class TestRegistry:
                            match=r"^unknown material 'unobtainium'; available: \['pzt-5h', 'silicon'\]$"):
             _parse("name = unobtainium", "name = pzt-5h")
 
-    def test_reciprocal_invariant_for_all_entries(self, monkeypatch):
-        for name, constants in config._BUILTIN.items():
-            _parse(f"name = {name}", "name = pzt-5h")
-            if "s11E_per_TPa" in constants:
-                assert abs(constants["E_GPa"] * constants["s11E_per_TPa"] - 1.0) <= 1e-6
-        # the reciprocity check runs on a built-in as on explicit constants
-        monkeypatch.setitem(config._BUILTIN, "pzt-5h",
-                            {**config._BUILTIN["pzt-5h"], "s11E_per_TPa": 2e-11})
-        with pytest.raises(ConfigError, match=r"^material\.piezo: piezo: s11E is not the reciprocal"):
-            _parse("name = silicon", "name = pzt-5h")
-
 
 class TestMaterialValidation:
     @pytest.mark.parametrize("modulus", [-1.0, math.nan])
@@ -68,10 +54,12 @@ class TestMaterialValidation:
         with pytest.raises(ConfigError, match=r"^material\.substrate\.E_GPa: must be"):
             _parse(f"E_GPa = {modulus}", "name = pzt-5h")
 
-    def test_inconsistent_compliance_rejected(self):
-        with pytest.raises(ConfigError, match=r"^material\.piezo: piezo: s11E is not the reciprocal "
-                                              r"of E \(E\*s11E = 2\)$"):
-            _parse("name = silicon", "E_GPa = 100\nd31_pm_per_V = -274\ns11E_per_TPa = 20")
+    def test_compliance_key_is_unknown(self):
+        """The model reads no compliance: s11E_per_TPa, even at the datasheet's 16.5, is an
+        unknown key, beside explicit constants or a name."""
+        for piezo in ("E_GPa = 60.6\nd31_pm_per_V = -274", "name = pzt-5h"):
+            with pytest.raises(ConfigError, match=r"^material\.piezo: unknown key 's11E_per_TPa'$"):
+                _parse("name = silicon", piezo + "\ns11E_per_TPa = 16.5")
 
     def test_negative_d31_allowed(self):
         parsed = _parse("name = silicon", "E_GPa = 60\nd31_pm_per_V = -274")

@@ -471,12 +471,12 @@ def record_outcome(design):
 
 
 def test_hoisted_sweeps_match_reference_bit_for_bit():
-    """sweep_points reuses the rigidity, the unit-width section or the geometry factors that
-    its axis leaves unchanged, the force's prefix, and its test of the unchanged fields.
-    Sweeps along all six axes from physical and extreme bases, beams that round a + L to the
-    same span for several mirrors, bases whose reused stage raises, and bases that fail the
-    one-time test or meet a zero, nan or overflowing prefix give reference_solve's bits or
-    its error text at every point."""
+    """A step keeps the parts of the solve that do not read its field: the test of the other
+    fields, the force's prefix, the unit-width section and the geometry factors. Sweeps along
+    all six axes from physical and extreme bases, beams that round a + L to the same span for
+    several mirrors, bases whose kept part raises, bases that fail the one-time test or meet
+    a zero, nan or overflowing prefix, and steps along each of the nine fields, axes or not,
+    give reference_solve's bits or its error text at every point."""
     rng = random.Random(20261020)
     bases = [(physical_design(rng), True) if i % 2
              else (ScanConfig(*(extreme_value(rng) for _ in range(9))), False) for i in range(100)]
@@ -509,14 +509,20 @@ def test_hoisted_sweeps_match_reference_bit_for_bit():
         specs += [sweep_spec(rng, base, axis, True) for axis in sorted(AXES)]
         specs += [SweepSpec(base, axis, -2e-3, 2e-3, 41) for axis in sorted(AXES)]
         specs.append(SweepSpec(base, "voltage", -50.0, 50.0, 41))
+    points = [(spec.base, AXES[spec.axis], point) for spec in specs for point in sweep_points(spec)]
+    # Each ScanConfig field stepped from the physical bases at a physical magnitude, its
+    # negative and 0: the moduli and d31 are no sweep axes, but a step reads them too.
+    for base in [base for base, physical in bases if physical]:
+        for field, (lo, hi) in zip(ScanConfig._fields, verification.PHYSICAL_RANGES):
+            step = sweep._stepper(base, field)
+            magnitude = rng.uniform(lo, hi)
+            points += [(base, field, step(value)) for value in (magnitude, -magnitude, 0.0)]
     solved = 0
-    for spec in specs:
-        field = AXES[spec.axis]
-        for value, *cells, status in sweep_points(spec):
-            expected = record_outcome(spec.base._replace(**{field: value}))
-            got = [cell.hex() for cell in cells] if status == "ok" else status
-            assert got == expected, (spec, value)
-            solved += status == "ok"
+    for base, field, (value, *cells, status) in points:
+        expected = record_outcome(base._replace(**{field: value}))
+        got = [cell.hex() for cell in cells] if status == "ok" else status
+        assert got == expected, (base, field, value)
+        solved += status == "ok"
     assert solved > 12_000
 
 
@@ -574,14 +580,17 @@ def counted_calls(monkeypatch, names):
 
 @pytest.mark.parametrize("axis", sorted(REUSE_SWEEPS))
 def test_step_reuses_what_its_axis_leaves_unchanged(monkeypatch, axis):
-    """A sweep's step computes the unit-width section and the geometry factors once where
-    its axis leaves them unchanged, beam_width included, and reaches solve_scanner only for
-    a point that fails."""
+    """A step computes the unit-width section and the geometry factors when it is made,
+    where its axis leaves them unchanged, beam_width included, and at each point where its
+    axis sets them; a point reaches solve_scanner only if it fails."""
     calls = counted_calls(monkeypatch, ("section", "_geometry", "solve_scanner"))
-    records = sweep.run_sweep(SweepSpec(reference_config(), axis, *REUSE_SWEEPS[axis], 50))
-    assert all(record.ok for record in records)
+    step = sweep._stepper(reference_config(), AXES[axis])
     sets_section = AXES[axis] in ("substrate_t", "piezo_t")
     sets_geometry = axis in ("beam_length", "mirror_side")
+    assert calls == {"section": 0 if sets_section else 1,
+                     "_geometry": 0 if sets_geometry else 1, "solve_scanner": 0}
+    points = map(step, SweepSpec(reference_config(), axis, *REUSE_SWEEPS[axis], 50).grid())
+    assert all(point[5] == "ok" for point in points)
     assert calls == {"section": 50 if sets_section else 1,
                      "_geometry": 50 if sets_geometry else 1, "solve_scanner": 0}
 
