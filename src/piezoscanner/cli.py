@@ -19,7 +19,7 @@ import math
 import os
 import sys
 
-from . import materials, scanner, sweep as sweep_mod
+from . import multimorph, scanner, sweep as sweep_mod
 from .config import ConfigError, parse_config
 
 EXIT_OK = 0
@@ -201,9 +201,9 @@ def _cmd_verify(args) -> int:
 
     print(
         "assumed constants: "
-        f"silicon E={_fmt(materials.SILICON_E)} Pa, "
-        f"pzt-5h E={_fmt(materials.PZT5H_E)} Pa "
-        f"d31={_fmt(materials.PZT5H_D31)} m/V"
+        f"silicon E={_fmt(multimorph.SILICON_E)} Pa, "
+        f"pzt-5h E={_fmt(multimorph.PZT5H_E)} Pa "
+        f"d31={_fmt(multimorph.PZT5H_D31)} m/V"
     )
     failures = 0
     for name, residual, tol in verification.checks(args.nodes):

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 
-from .materials import PZT5H_D31, PZT5H_E, SILICON_E
+from .multimorph import PZT5H_D31, PZT5H_E, SILICON_E
 from .sweep import ScanConfig
 
 

@@ -3,14 +3,17 @@
 A substrate carries two identical piezoelectric layers driven with opposite
 polarity. The model is two closed forms: the homogenized section of the
 stack and the end force on the mirror, (3/2) W t_p E_p d31 V / L, accurate
-to a few ulp for every stack. The 4x4 layer system it derives from is a
-check in :mod:`piezoscanner.verification` that no model path calls. That
-check solves the system exactly, in rationals, so it has no domain limit.
+to a few ulp wherever no intermediate of the force is subnormal.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+
+# Documented datasheet values in SI, which config names as built-in materials.
+SILICON_E = 169e9
+PZT5H_E = 60.6e9
+PZT5H_D31 = -274e-12
 
 
 class OutOfRangeError(ValueError):

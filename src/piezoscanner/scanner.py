@@ -8,13 +8,6 @@ by symmetry to half the span: a simple support at the mirror center A
 half-mirror (zero curvature); segment [B, C] bends with the multimorph's
 equivalent rigidity.
 
-:func:`solve_scanner` is the model's one solve of a design, on the plain
-floats of its fields: `model`, `profile` and `verify`'s oracle checks call
-it. The sweeps, the optimizer and `table1` solve a point in one step of
-:mod:`piezoscanner.sweep`, which repeats its operations inline and calls it
-for a point that fails. The statics split into a geometry part, the factors
-that depend on (a, span) alone, and a load part that scales them, the one
-place that computes the reaction, tilt and y_max (see :func:`statics`).
 :func:`check_mirror` is the model's one check of the half-beam geometry,
 and :class:`piezoscanner.oracle.BeamProblem` the oracle's. The closed forms
 assume 0 < a < span and rigidity > 0. A stack's rigidity is positive
@@ -44,8 +37,7 @@ def check_mirror(mirror_side: float, length: float) -> tuple[float, float]:
 
 def _geometry(a: float, span: float) -> tuple[float, float, float, float]:
     """(ratio, l3, q, y_factor), the factors of :func:`statics` that depend on (a, span)
-    alone; raises OutOfRangeError where a power overflows or q underflows to 0. No step
-    reads x*, so :func:`_load` computes it, for :func:`solve_scanner` only."""
+    alone; raises OutOfRangeError where a power overflows or q underflows to 0."""
     try:
         q = a**2 + a * span + span**2
         ratio = (span - a) * (2 * span + a) / (2 * q)
@@ -82,14 +74,28 @@ def _beam(x, slope, a, span):
     return slope * u * u * (2 * a * (x - a) / length + x)
 
 
-def _load(force: float, a: float, span: float, rigidity: float,
-          geometry) -> tuple[float, float, float, float]:
-    """statics' (reaction, tilt_signed, y_max, x_at_ymax) from the factors of :func:`_geometry`.
-    The step of :func:`piezoscanner.sweep._stepper` repeats these operations inline, in order,
-    all but x*, which only :func:`solve_scanner` reads. x* raises nothing: its powers are q's,
-    which :func:`_geometry` has computed, and its divisor 3 (a + span) is 0 only where r's
-    a + span has raised."""
-    ratio, l3, q, y_factor = geometry
+def statics(force: float, a: float, span: float, rigidity: float) -> tuple[float, float, float, float]:
+    """(reaction, tilt_signed, y_max, x_at_ymax) of a checked design.
+
+    The beam branch's derivative, slope u (3 (a + span) v / L - 1), vanishes
+    at the clamp (u = 0) and at x* = (span^2 + a span + 4 a^2) / (3 (a + span))
+    = a + L^2 / (3 (a + span)), which lies strictly inside (a, span) because
+    0 < L < 3 (a + span). There
+    |y| = |slope| (4/27) (span + 2a) ((span + 2a) / (a + span))^2, more than
+    the junction's |slope| a, the largest |y| on the mirror, so y_max is
+    |y(x*)|. At zero force the profile is flat and (y_max, x_at_ymax) is (0.0, a).
+
+    The step of :func:`piezoscanner.sweep._stepper` repeats these operations inline, in
+    order, all but x*, which no step reads. x* raises nothing: its powers are q's, which
+    :func:`_geometry` has computed, and its divisor 3 (a + span) is 0 only where r's
+    a + span has raised.
+
+    Raises OutOfRangeError where a stage overflows or divides by zero, and
+    ValueError naming the first of force, rigidity, reaction, tilt and y_max
+    that is not finite. Their sum is tested first: a sum with an inf or nan
+    term is not finite, and only such a sum walks the loop that names the value.
+    """
+    ratio, l3, q, y_factor = _geometry(a, span)
     try:
         slope = force * a * l3 / (4 * rigidity * q)
     except ZeroDivisionError as exc:
@@ -105,36 +111,6 @@ def _load(force: float, a: float, span: float, rigidity: float,
             if not math.isfinite(value):
                 raise ValueError(f"non-finite {name} ({value}); the design overflows double precision")
     return r_a, tilt_signed, y_max, x_at
-
-
-def statics(force: float, a: float, span: float, rigidity: float) -> tuple[float, float, float, float]:
-    """(reaction, tilt_signed, y_max, x_at_ymax) of a checked design.
-
-    The beam branch's derivative, slope u (3 (a + span) v / L - 1), vanishes
-    at the clamp (u = 0) and at x* = (span^2 + a span + 4 a^2) / (3 (a + span))
-    = a + L^2 / (3 (a + span)), which lies strictly inside (a, span) because
-    0 < L < 3 (a + span). There
-    |y| = |slope| (4/27) (span + 2a) ((span + 2a) / (a + span))^2, more than
-    the junction's |slope| a, the largest |y| on the mirror, so y_max is
-    |y(x*)|. At zero force the profile is flat and (y_max, x_at_ymax) is (0.0, a).
-
-    The geometry part, :func:`_geometry`, computes the factors that depend on
-    (a, span) alone: the reaction ratio, L^3, q = a^2 + a span + span^2 and
-    y_factor = (4/27) (span + 2a) ((span + 2a) / (a + span))^2. The
-    load part, :func:`_load`, scales them: the mirror-center support's
-    reaction = 0 - force ratio, with ratio in (0, 1] and a zero reaction
-    +0.0, slope = force a L^3 / (4 rigidity q), tilt = atan(slope) and
-    y_max = |slope| y_factor. It also computes x*, which no sweep step reads,
-    so x* is computed only here, for :func:`solve_scanner`.
-    Each value takes one expression's operations in order, and the geometry
-    part raises first, as a single pass would.
-
-    Raises OutOfRangeError where a stage overflows or divides by zero, and
-    ValueError naming the first of force, rigidity, reaction, tilt and y_max
-    that is not finite. Their sum is tested first: a sum with an inf or nan
-    term is not finite, and only such a sum walks the loop that names the value.
-    """
-    return _load(force, a, span, rigidity, _geometry(a, span))
 
 
 def solve_scanner(substrate_E: float, piezo_E: float, d31: float, substrate_t: float,

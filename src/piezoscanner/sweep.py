@@ -6,8 +6,7 @@ import math
 from collections import namedtuple
 from itertools import repeat
 
-from . import materials
-from .multimorph import check_stack, section
+from .multimorph import PZT5H_D31, PZT5H_E, SILICON_E, check_stack, section
 from .scanner import _geometry, check_mirror, solve_scanner
 
 _OracleBinding = namedtuple("OracleBinding", ("stack", "a", "half_span"))
@@ -32,9 +31,9 @@ def reference_config() -> ScanConfig:
     """Scanner A: built-in materials, 5/1 um layers, 30 um wide 850 um beams,
     300 um mirror, 50 V drive."""
     return ScanConfig(
-        substrate_E=materials.SILICON_E,
-        piezo_E=materials.PZT5H_E,
-        d31=materials.PZT5H_D31,
+        substrate_E=SILICON_E,
+        piezo_E=PZT5H_E,
+        d31=PZT5H_D31,
         substrate_t=5e-6,
         piezo_t=1e-6,
         beam_width=30e-6,
@@ -98,7 +97,7 @@ def _stepper(base: ScanConfig, field: str):
     does, and gives the point's SweepRecord fields as a tuple.
 
     The step runs solve_scanner's checks as one test, then repeats the operations of
-    end_force and of _load inline and in order, as profile_chunks does for _beam;
+    end_force and of statics inline and in order, as profile_chunks does for _beam;
     test_hoisted_sweeps_match_reference_bit_for_bit holds it to their bits. Each part of
     the solve that does not read field is computed once, when the step is made: the test of
     the other fields that must be > 0, the force's left-to-right prefix

@@ -17,11 +17,7 @@ loads it, and numpy and fractions with it, only for `verify`.
 
 Domain. :data:`PHYSICAL_RANGES` is the one physical domain: moduli of 10-500 GPa,
 layers 0.2-20 um thick, widths of 5-200 um, lengths of 100-2000 um, mirrors of
-10-1000 um, |d31| of 1-500 pm/V and |V| of 0.01-200 V. Every physical draw reads it
-and names only its options: :func:`random_design` draws d31 < 0 and V of either sign;
-the tests' `physical_designs` draws d31 of either sign, or zero unless `d31_nonzero`,
-and V as its named drive says: zero or either sign, either sign but nonzero, or
-positive; `test_scanner.physical_design` draws d31 and V uniform through zero.
+10-1000 um, |d31| of 1-500 pm/V and |V| of 0.01-200 V.
 """
 
 from __future__ import annotations

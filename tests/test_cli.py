@@ -668,17 +668,22 @@ def test_readme_pins_pass_without_numpy():
 
 
 @pytest.mark.parametrize("flags", [(), ("-S",)], ids=["site", "no-site"])
-def test_cli_import_loads_no_scipy(config_path, tmp_path, flags):
-    """Neither scipy nor numpy loads for the import or any command but verify, nor
-    fractions, which only verify's exact layer check reads, nor configparser, since
-    config.py reads its own line grammar, nor array, which only profile loads, for the
-    import. Under -S, with no site hook that may load them itself, neither do
-    dataclasses, inspect or tempfile."""
+def test_cli_loads_only_model_path_modules(config_path, tmp_path, flags):
+    """The import and every command but verify load exactly the package modules of the
+    model path, and neither scipy nor numpy, nor fractions, which only verify's exact layer
+    check reads, nor configparser, since config.py reads its own line grammar, nor array,
+    which only profile loads, for the import. Under -S, with no site hook that may load
+    them itself, neither do dataclasses, inspect or tempfile."""
     src = os.path.dirname(os.path.dirname(piezoscanner.__file__))
     probe = textwrap.dedent(
         """\
         import sys
         import piezoscanner.cli as cli
+        PACKAGE = {'piezoscanner', 'piezoscanner.cli', 'piezoscanner.config',
+                   'piezoscanner.multimorph', 'piezoscanner.scanner', 'piezoscanner.sweep'}
+        def package_modules():
+            return {name for name in sys.modules if name.split('.')[0] == 'piezoscanner'}
+        assert package_modules() == PACKAGE, package_modules()
         assert 'scipy' not in sys.modules, 'scipy imported'
         assert 'numpy' not in sys.modules, 'numpy imported by the import'
         assert 'array' not in sys.modules, 'array imported by the import'
@@ -688,6 +693,7 @@ def test_cli_import_loads_no_scipy(config_path, tmp_path, flags):
                      ["sweep", "--config", cfg, "--axis", "voltage", "--from=0", "--to=50",
                       "--steps", "3"], ["table1"]):
             assert cli.run([*argv, "--out", out]) == 0, argv
+            assert package_modules() == PACKAGE, (argv[0], package_modules())
             for name in ('numpy', 'fractions', 'configparser'):
                 assert name not in sys.modules, f'{name} imported by {argv[0]}'
             if sys.flags.no_site:
