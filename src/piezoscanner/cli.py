@@ -30,6 +30,9 @@ EXIT_NUMERIC = 2
 # profile keeps its left-half ordinates in an array for the right half, 8 bytes a sample,
 # about 8 MB at MAX_SAMPLES.
 MAX_SAMPLES = 2_000_001  # profile samples and verify nodes
+# The fewest verify nodes: the coarsest grid of verify's own convergence study, where the
+# oracle lines pass the correct model with about 18x headroom.
+MIN_NODES = 101
 MAX_STEPS = 200_000  # sweep points
 
 
@@ -74,6 +77,8 @@ def _load_config(path: str) -> sweep_mod.ScanConfig:
             text = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:  # a ValueError, which would exit as numeric
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
     return parse_config(text)
 
 
@@ -190,8 +195,8 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if not (11 <= args.nodes <= MAX_SAMPLES and args.nodes % 2):
-        raise ConfigError(f"--nodes must be odd and in [11, {MAX_SAMPLES}]")
+    if not (MIN_NODES <= args.nodes <= MAX_SAMPLES and args.nodes % 2):
+        raise ConfigError(f"--nodes must be odd and in [{MIN_NODES}, {MAX_SAMPLES}]")
     try:
         from . import verification  # numpy loads only for verify
     except ModuleNotFoundError as exc:

@@ -12,8 +12,9 @@ exactly, and the solved force must equal it to round-off.
 :func:`layer_rigidity`, which shares no formula with `section`. The profile
 checks read both half-profile branches as scanner evaluates them
 (:func:`branches`), and `profile_sampling` holds scanner's sampled profile to
-them at the same u, bit for bit. No model path calls this module; the CLI
-loads it, and numpy and fractions with it, only for `verify`.
+them at the same u, bit for bit. The checks work on floats, one drawn design
+at a time; only the FD oracle uses arrays. No model path calls this module;
+the CLI loads it, and numpy and fractions with it, only for `verify`.
 
 Domain. :data:`PHYSICAL_RANGES` is the one physical domain: moduli of 10-500 GPa,
 layers 0.2-20 um thick, widths of 5-200 um, lengths of 100-2000 um, mirrors of
@@ -24,9 +25,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
-
-import numpy as np
 
 from . import oracle, scanner, sweep
 
@@ -91,9 +91,8 @@ def exact_force(design) -> Fraction:
 def layer_rigidity(design):
     """Flexural rigidity summed layer by layer, each in its own modulus, with no normalizing
     modulus: h = sum(E t c) / sum(E t) over the layer mid-heights c, then
-    W * sum(E (t^3/12 + t (h - c)^2)). Exact on a design of Fractions, as it has no float
-    literal. Cubes are products, not ``**``: on arrays, numpy's power and libm's pow differ
-    in the last bit."""
+    W * sum(E (t^3/12 + t (h - c)^2)), on a design of floats, or exactly on one of Fractions,
+    as it has no float literal."""
     es, ts, ep, tp = design.substrate_E, design.substrate_t, design.piezo_E, design.piezo_t
     cs, c1, c2 = ts / 2, ts + tp / 2, ts + 3 * tp / 2
     ks, kp = es * ts, ep * tp  # axial stiffness per unit width
@@ -111,12 +110,13 @@ PHYSICAL_RANGES = ((10e9, 500e9), (10e9, 500e9), (1e-12, 500e-12), (0.2e-6, 20e-
                    (0.01, 200.0))
 
 
-def random_design(rng: np.random.Generator, size: int) -> sweep.ScanConfig:
-    """`size` designs drawn uniformly from `PHYSICAL_RANGES` as arrays, one draw call per
-    field, with d31 < 0 and a drive of either sign."""
+def random_design(rng: random.Random) -> sweep.ScanConfig:
+    """One design of floats drawn uniformly from `PHYSICAL_RANGES`, each field lo + (hi - lo)
+    rng.random() in field order, then the drive's sign from one more rng.random(): d31 < 0
+    and a drive of either sign."""
     e_s, e_p, d31, t_s, t_p, width, length, mirror, volts = (
-        rng.uniform(lo, hi, size) for lo, hi in PHYSICAL_RANGES)
-    sign = rng.choice([-1.0, 1.0], size)
+        lo + (hi - lo) * rng.random() for lo, hi in PHYSICAL_RANGES)
+    sign = -1.0 if rng.random() < 0.5 else 1.0
     return sweep.ScanConfig(e_s, e_p, -d31, t_s, t_p, width, length, mirror, volts * sign)
 
 
@@ -130,6 +130,13 @@ def branches(x: float, force: float, a: float, span: float,
             slope * (x - span) / length * (3 * (a + span) * (x - a) / length**2 - 1))
 
 
+def _worst(residuals) -> float:
+    """The largest residual, or nan if any is nan: max() alone keeps a nan only in first
+    place, so a check whose reference goes nan would pass."""
+    residuals = list(residuals)
+    return math.nan if any(map(math.isnan, residuals)) else max(residuals)
+
+
 def _profile_residual(force: float, a: float, span: float, rigidity: float,
                       tilt_signed: float) -> float:
     """The largest violation of the half profile's support, clamp, continuity, straightness
@@ -140,7 +147,7 @@ def _profile_residual(force: float, a: float, span: float, rigidity: float,
     y0, _, dy0, _ = at(0.0)
     _, y_end, _, dy_end = at(span)
     y_a, y_b, dy_a, dy_b = at(a)
-    return max(
+    return _worst((
         abs(y0),
         abs(y_end),
         abs(dy_end) * span,
@@ -149,30 +156,31 @@ def _profile_residual(force: float, a: float, span: float, rigidity: float,
         # straightness of the mirror segment: second difference
         abs(at(a / 4)[0] - 2 * at(a / 2)[0] + at(3 * a / 4)[0]),
         abs(math.tan(abs(tilt_signed)) - abs(dy0)) * span,
-    )
+    ))
 
 
 def _sampling_residual(samples: int, force: float, a: float, span: float, rigidity: float,
                        y_max: float) -> float:
     """The largest difference between scanner's sampled profile and what it must be: on the
     left half and the center, the grid u = 2 span j / (samples - 1) (the center at span) and
-    the branches at the sampled u; on the right half, the left half's exact mirror. u is
-    taken in units of span and y of y_max."""
-    rows = np.fromiter(itertools.chain.from_iterable(
-        scanner.profile_chunks(samples, force, a, span, rigidity)), float)
+    the branches at the sampled u, from one slope; on the right half, the left half's exact
+    mirror. u is taken in units of span and y of y_max."""
+    rows = list(itertools.chain.from_iterable(
+        scanner.profile_chunks(samples, force, a, span, rigidity)))
     u, y = rows[0::2], rows[1::2]
     last = (samples | 1) - 1
     mid = last // 2
     if len(u) != last + 1:
         return math.inf
     full = 2 * span
-    x = span - u[:mid + 1]
-    y_mirror, y_beam, _, _ = branches(x, force, a, span, rigidity)
-    du = np.concatenate([u[:mid + 1] - np.append(full * np.arange(mid) / last, span),
-                         u[mid + 1:] - (full - u[mid - 1::-1])])
-    dy = np.concatenate([y[:mid + 1] - np.where(x <= a, y_mirror, y_beam),
-                         y[mid + 1:] + y[mid - 1::-1]])
-    return float(np.max(np.abs(np.concatenate([du / span, dy / y_max]))))
+    slope = scanner._slope(force, a, span, rigidity)
+    x = [span - u_j for u_j in u[:mid + 1]]
+    du = [u[j] - full * j / last for j in range(mid)] + [u[mid] - span]
+    du += [u_r - (full - u_l) for u_r, u_l in zip(u[mid + 1:], u[mid - 1::-1])]
+    dy = [y_j - (slope * x_j if x_j <= a else scanner._beam(x_j, slope, a, span))
+          for y_j, x_j in zip(y, x)]
+    dy += [y_r + y_l for y_r, y_l in zip(y[mid + 1:], y[mid - 1::-1])]
+    return _worst([abs(d) / span for d in du] + [abs(d) / y_max for d in dy])
 
 
 def checks(nodes: int):
@@ -193,33 +201,31 @@ def checks(nodes: int):
 
     counts = [101, 201, 401]
     orders = oracle.convergence_orders(counts, oracle.convergence_study(problem, counts))
-    yield "oracle_convergence_order", 1.8 - min(orders), 0.0
+    yield "oracle_convergence_order", _worst(1.8 - order for order in orders), 0.0
 
     half = oracle.BeamProblem(span=span, a=span / 2, force=force, rigidity=rigidity, nodes=nodes)
     fd_half = oracle.solve_fd(half)
     target = -5 * force / 14
     yield "oracle_midspan_reaction", abs(fd_half.reaction - target) / abs(target), 5e-3
 
-    drawn = random_design(np.random.default_rng(20260824), 1000)
-    rigidities = []
-    worst_profile = 0.0
-    for i, fields in enumerate(np.column_stack(drawn).tolist()):
-        force, rigidity, a, span, _, tilt_signed, y_max, _ = scanner.solve_scanner(*fields)
-        rigidities.append(rigidity)
+    # The exact layer system on Scanner A, on it with ever thinner piezo layers, and on
+    # every 100th drawn design: |F / F_exact - 1| in rationals, rounded once.
+    exact_designs = [reference, *(reference._replace(piezo_t=t) for t in (1e-20, 1e-100, 1e-300))]
+    norms, profiles = [], []
+    rng = random.Random(20260824)
+    for i in range(1000):
+        design = random_design(rng)
+        force, rigidity, a, span, _, tilt_signed, y_max, _ = scanner.solve_scanner(*design)
+        norms.append(abs(layer_rigidity(design) - rigidity) / rigidity)
         if i < 3:
             sampled.append(((101, 100, 5)[i], force, a, span, rigidity, y_max))
         if i % 10 == 0:  # the profile checks, ~11 us a design, on 100 of them
-            worst_profile = max(worst_profile,
-                                _profile_residual(force, a, span, rigidity, tilt_signed) / y_max)
-    rigidities = np.array(rigidities)
-    worst_norm = float(np.max(np.abs(layer_rigidity(drawn) - rigidities) / rigidities))
-    # The exact layer system on Scanner A, on it with ever thinner piezo layers, and on
-    # every 100th drawn design: |F / F_exact - 1| in rationals, rounded once.
-    exact_designs = [reference, *(reference._replace(piezo_t=t) for t in (1e-20, 1e-100, 1e-300)),
-                     *map(sweep.ScanConfig._make, np.column_stack(drawn)[::100].tolist())]
+            profiles.append(_profile_residual(force, a, span, rigidity, tilt_signed) / y_max)
+        if i % 100 == 0:
+            exact_designs.append(design)
     identity = max(abs(Fraction(scanner.solve_scanner(*design)[0]) / exact_force(design) - 1)
                    for design in exact_designs)
     yield "closed_form_identity", float(identity), 1e-10
-    yield "normalization_independence", worst_norm, 1e-12
-    yield "profile_invariants", worst_profile, 1e-12
-    yield "profile_sampling", float(np.max([_sampling_residual(*args) for args in sampled])), 0.0
+    yield "normalization_independence", _worst(norms), 1e-12
+    yield "profile_invariants", _worst(profiles), 1e-12
+    yield "profile_sampling", _worst(_sampling_residual(*args) for args in sampled), 0.0

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from piezoscanner import multimorph, scanner, sweep, verification
+from piezoscanner import multimorph, oracle, scanner, sweep, verification
 from piezoscanner.multimorph import section
 
 from conftest import sampled
@@ -114,6 +114,20 @@ def test_identity_line_fails_on_a_wrong_force(monkeypatch):
     monkeypatch.setattr(scanner, "end_force", namespace["end_force"])
     failed = [name for name, residual, tol in verification.checks(2001) if not residual <= tol]
     assert failed == ["closed_form_identity"]
+
+
+@pytest.mark.parametrize("module, name, nan, lines", [
+    (scanner, "_beam", math.nan, ["oracle_profile_maxnorm", "oracle_convergence_order",
+                                  "profile_invariants", "profile_sampling"]),
+    (verification, "layer_rigidity", math.nan, ["normalization_independence"]),
+    (oracle, "convergence_orders", [2.0, math.nan], ["oracle_convergence_order"]),
+], ids=["beam-branch", "layer-rigidity", "convergence-orders"])
+def test_nan_reference_fails_its_lines(monkeypatch, module, name, nan, lines):
+    """A reference that goes nan fails the lines that read it, wherever the nan falls among
+    the residuals: max() and min() alone keep a nan only in first place."""
+    monkeypatch.setattr(module, name, lambda *args: nan)
+    failed = [line for line, residual, tol in verification.checks(2001) if not residual <= tol]
+    assert failed == lines
 
 
 def test_criterion_2_closed_form_identity(suite):

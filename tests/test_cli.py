@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import itertools
 import math
@@ -11,7 +12,8 @@ import textwrap
 import pytest
 
 import piezoscanner
-from piezoscanner.cli import MAX_SAMPLES, MAX_STEPS, _SWEEP_HEADER, _sweep_row, _write_atomic, run
+from piezoscanner.cli import (MAX_SAMPLES, MAX_STEPS, MIN_NODES, _SWEEP_HEADER, _sweep_row,
+                              _write_atomic, run)
 from piezoscanner.config import ConfigError, parse_config
 from piezoscanner.scanner import profile_chunks, solve_scanner
 from piezoscanner.sweep import SweepSpec, reference_config, sweep_points
@@ -198,6 +200,14 @@ class TestModelCommand:
     def test_missing_config_file(self, tmp_path, capsys):
         assert run(["model", "--config", str(tmp_path / "nope.cfg")]) == 1
         assert capsys.readouterr().err.startswith("config:")
+
+    def test_undecodable_config_exit_code(self, tmp_path, capsys):
+        """A config whose bytes do not decode, here a 0xff in a comment, cannot be read: it
+        exits 1, as a missing file does, not as a numeric failure."""
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"# \xff\n" + SCANNER_A_CFG.encode())
+        assert run(["model", "--config", str(bad), "--out", str(tmp_path / "m.csv")]) == 1
+        assert capsys.readouterr().err.startswith(f"config: cannot read {bad}: ")
 
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -568,11 +578,17 @@ class TestVerifyCommand:
 
     def test_nodes_bounded(self, capsys):
         """Both ends of the range, and even counts inside it, give the one message."""
-        for nodes in (9, 12, MAX_SAMPLES + 1, MAX_SAMPLES + 2):
+        for nodes in (9, 12, MIN_NODES - 2, MAX_SAMPLES + 1, MAX_SAMPLES + 2):
             assert run(["verify", "--nodes", str(nodes)]) == 1
             captured = capsys.readouterr()
-            assert captured.err == f"config: --nodes must be odd and in [11, {MAX_SAMPLES}]\n"
+            assert captured.err == (
+                f"config: --nodes must be odd and in [{MIN_NODES}, {MAX_SAMPLES}]\n")
             assert captured.out == ""
+
+    def test_fewest_nodes_pass(self, capsys):
+        """The correct model passes every line at the smallest node count verify accepts."""
+        assert run(["verify", "--nodes", str(MIN_NODES)]) == 0
+        assert capsys.readouterr().out.count(" PASS\n") == 9
 
     def test_without_numpy_one_config_line(self):
         """Where numpy cannot be imported, verify exits 1 with one line, not a traceback."""
@@ -665,6 +681,23 @@ def test_readme_pins_pass_without_numpy():
         cwd=tests.parent, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
     assert result.returncode == 0, result.stdout + result.stderr
     assert " passed" in result.stdout and "skipped" not in result.stdout
+
+
+def test_only_the_oracle_imports_numpy():
+    """Arrays are the FD oracle's alone: of the package's modules, only oracle.py imports
+    numpy, at any depth of its syntax tree."""
+    importers = set()
+    for path in pathlib.Path(piezoscanner.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            if any(module.split(".")[0] == "numpy" for module in modules):
+                importers.add(path.name)
+    assert importers == {"oracle.py"}
 
 
 @pytest.mark.parametrize("flags", [(), ("-S",)], ids=["site", "no-site"])

@@ -1,9 +1,9 @@
 import math
+import random
 import re
 import sys
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -291,12 +291,15 @@ class TestPhysicalDomain:
     with the signs and the zeros that its options name."""
 
     def test_random_design_in_domain(self):
-        drawn = random_design(np.random.default_rng(20261024), 10_000)
-        for field, values, (lo, hi) in zip(ScanConfig._fields, drawn, PHYSICAL_RANGES):
-            magnitudes = np.abs(values) if field in ("d31", "voltage") else values
-            assert np.all((lo <= magnitudes) & (magnitudes <= hi)), field
-        assert np.all(drawn.d31 < 0)
-        assert np.any(drawn.voltage < 0) and np.any(drawn.voltage > 0)
+        rng = random.Random(20261024)
+        drawn = [random_design(rng) for _ in range(10_000)]
+        assert all(type(value) is float for design in drawn for value in design)
+        for field, values, (lo, hi) in zip(ScanConfig._fields, zip(*drawn), PHYSICAL_RANGES):
+            magnitudes = map(abs, values) if field in ("d31", "voltage") else values
+            assert all(lo <= magnitude <= hi for magnitude in magnitudes), field
+        assert all(design.d31 < 0 for design in drawn)
+        voltages = [design.voltage for design in drawn]
+        assert min(voltages) < 0 < max(voltages)
 
     @pytest.mark.parametrize("drive", sorted(DRIVES))
     @pytest.mark.parametrize("d31_nonzero", [False, True])
@@ -349,9 +352,9 @@ class TestCarriers:
     def test_oracle_op_binding_is_the_solve(self):
         """perfbench's oracle op, its expressions verbatim, reads the bits of the solve's
         force, rigidity, a and half_span, and equivalent_section the values of section."""
-        drawn = random_design(np.random.default_rng(20261019), 2000)
-        for fields in np.column_stack(drawn).tolist():
-            design = ScanConfig(*fields)
+        rng = random.Random(20261019)
+        for _ in range(2000):
+            design = random_design(rng)
             geometry = design.geometry()
             assert geometry.stack is design
             force = multimorph.equivalent_force(geometry.stack, design.voltage)

@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -295,9 +296,9 @@ def oracle_problems():
     rigidities whose closed form underflows."""
     yield problem_a()
     yield problem_a()._replace(a=SPAN / 2)
-    drawn = random_design(np.random.default_rng(20261030), 50)
-    for fields in np.column_stack(drawn).tolist():
-        force, rigidity, a, span, *_ = scanner.solve_scanner(*fields)
+    rng = random.Random(20261030)
+    for _ in range(50):
+        force, rigidity, a, span, *_ = scanner.solve_scanner(*random_design(rng))
         yield BeamProblem(span=span, a=a, force=force, rigidity=rigidity)
     for rigidity in (1e300, 1e308):
         yield problem_a()._replace(rigidity=rigidity)
