@@ -25,10 +25,7 @@ from .config import ConfigError, parse_config
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
-# Bounds on a command's run time: 10x the largest benchmarked profile and sweep. Both
-# stream their rows 1,024 at a time. A sweep's memory does not grow with --steps; a
-# profile keeps its left-half ordinates in an array for the right half, 8 bytes a sample,
-# about 8 MB at MAX_SAMPLES.
+# 10x the largest benchmarked sizes. Rows stream 1,024 at a time: memory does not grow.
 MAX_SAMPLES = 2_000_001  # profile samples and verify nodes
 # The fewest verify nodes: the coarsest grid of verify's own convergence study, where the
 # oracle lines pass the correct model with about 18x headroom.
@@ -50,8 +47,7 @@ def _fmt(value: float) -> str:
 
 def _write_atomic(path: str, header: str, pieces) -> None:
     """Write the header line, then the string pieces as they arrive, to a new temp file
-    beside path; rename it over path only once the last piece is written. Memory holds one
-    piece at a time: sweep and profile rows are each formatted 1,024 to a piece. The file gets
+    beside path; rename it over path only once the last piece is written. The file gets
     the mode a plain open() would give it, 0o666 less the umask, which the kernel applies.
     An OSError raises ConfigError, which names path, not the temp file."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}.csv")
@@ -69,6 +65,47 @@ def _write_atomic(path: str, header: str, pieces) -> None:
             raise
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+
+
+def _write_chunks(path: str, header: str, piece, starts: range) -> bool:
+    """_write_atomic of piece(start) for each start; return whether a row has a sweep's
+    `error:` status. On two or more CPUs a forked child computes the pieces at odd places and
+    sends each through a pipe after a line of its size. The parent computes the rest, and any
+    the child did not send, so the output is the one-process run's, errors included; it
+    closes the pipe and reaps the child, which ends with os._exit, before it returns."""
+    pipe = None
+    if len(starts) > 1 and len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) > 1:
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if not pid:  # the child: exit 0 once every piece is sent, 1 at any exception
+            try:
+                os.close(read_fd)
+                with os.fdopen(write_fd, "wb") as out:
+                    for start in starts[1::2]:
+                        data = piece(start).encode()
+                        out.write(b"%d\n%s" % (len(data), data))
+                os._exit(0)
+            finally:
+                os._exit(1)
+        os.close(write_fd)
+        pipe = os.fdopen(read_fd, "rb")
+    errors = []
+
+    def pieces():
+        for n, start in enumerate(starts):
+            size = pipe.readline() if pipe and n % 2 else b""
+            data = pipe.read(int(size)) if size.endswith(b"\n") else b""
+            text = data.decode() if data and len(data) == int(size) else piece(start)
+            errors.append(",error: " in text)
+            yield text
+
+    try:
+        _write_atomic(path, header, pieces())
+    finally:
+        if pipe:
+            pipe.close()
+            os.waitpid(pid, 0)
+    return any(errors)
 
 
 def _load_config(path: str) -> sweep_mod.ScanConfig:
@@ -116,9 +153,12 @@ def _cmd_profile(args) -> int:
     solution = scanner.solve_scanner(*config)
     _model_row(*solution)  # every |y| is at most y_max: this bounds the rows in CSV units too
     force, rigidity, a, half_span = solution[:4]
-    chunks = scanner.profile_chunks(args.samples, force, a, half_span, rigidity)
-    _write_atomic(args.out, "x_um,y_um", (
-        ("%.9g,%.9g\n" * (len(chunk) // 2)) % tuple([v * 1e6 for v in chunk]) for chunk in chunks))
+
+    def piece(start):
+        chunk = scanner.profile_chunk(start, args.samples, force, a, half_span, rigidity)
+        return ("%.9g,%.9g\n" * (len(chunk) // 2)) % tuple([v * 1e6 for v in chunk])
+
+    _write_chunks(args.out, "x_um,y_um", piece, range(0, args.samples | 1, 1024))
     return EXIT_OK
 
 
@@ -152,31 +192,22 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("--to minus --from must be finite")
     spec = sweep_mod.SweepSpec(base=config, axis=args.axis, start=start, stop=stop,
                                steps=args.steps)
-    failed = 0
+    ok_row = f"{args.axis},%.9g,%.9g,%.9g,%.9g,%.9g,ok\n"
 
-    def rows():
-        """The CSV's rows, 1,024 points to a piece. A chunk of ok points whose result
-        cells sum to a finite value is formatted in one call. Any other chunk goes row by
-        row through _sweep_row; only such rows can count as failed."""
-        nonlocal failed
-        points = sweep_mod.sweep_points(spec)
-        ok_row = f"{args.axis},%.9g,%.9g,%.9g,%.9g,%.9g,ok\n"
-        while chunk := list(itertools.islice(points, 1024)):
-            if all(point[5] == "ok" for point in chunk):
-                values = tuple(itertools.chain.from_iterable(
-                    (value, tilt_deg, y_max * 1e6, abs(force) * 1e6, reaction * 1e6)
-                    for value, tilt_deg, y_max, force, reaction, _ in chunk))
-                # A sum with an inf or nan term is not finite, so a finite sum clears every cell.
-                if math.isfinite(sum(values[1::5]) + sum(values[2::5]) + sum(values[3::5])
-                                 + sum(values[4::5])):
-                    yield (ok_row * len(chunk)) % values
-                    continue
-            lines = [_sweep_row(args.axis, *point) for point in chunk]
-            failed += sum(not line.endswith(",ok\n") for line in lines)
-            yield "".join(lines)
+    def piece(start):
+        """Points start to start + 1023 as rows, in one call if all are ok and finite."""
+        chunk = list(sweep_mod.sweep_points(spec, start, start + 1024))
+        if all(point[5] == "ok" for point in chunk):
+            values = tuple(itertools.chain.from_iterable(
+                (value, tilt_deg, y_max * 1e6, abs(force) * 1e6, reaction * 1e6)
+                for value, tilt_deg, y_max, force, reaction, _ in chunk))
+            # A sum with an inf or nan term is not finite, so a finite sum clears every cell.
+            if math.isfinite(sum(values[1::5]) + sum(values[2::5]) + sum(values[3::5])
+                             + sum(values[4::5])):
+                return (ok_row * len(chunk)) % values
+        return "".join([_sweep_row(args.axis, *point) for point in chunk])
 
-    _write_atomic(args.out, _SWEEP_HEADER, rows())
-    if failed:
+    if _write_chunks(args.out, _SWEEP_HEADER, piece, range(0, args.steps, 1024)):
         print("numeric: some sweep points failed; see the status column", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK

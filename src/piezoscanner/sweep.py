@@ -73,12 +73,13 @@ class SweepSpec(namedtuple("SweepSpec", ("base", "axis", "start", "stop", "steps
             raise ValueError("steps must be >= 2")
         return super().__new__(cls, base, axis, start, stop, steps)
 
-    def grid(self):
-        """The parameter values in ascending order, start and stop included, as floats."""
+    def grid(self, lo: int = 0, hi: float = math.inf):
+        """Point i's value, start + i * step or stop for the last, for i in [lo, hi), as floats."""
         step = (self.stop - self.start) / (self.steps - 1)
-        for i in range(self.steps - 1):
+        for i in range(lo, min(hi, self.steps - 1)):
             yield self.start + i * step
-        yield float(self.stop)
+        if lo < self.steps <= hi:
+            yield float(self.stop)
 
 
 class SweepRecord(namedtuple("SweepRecord", ("param_value", "tilt_deg", "y_max_m", "force_N",
@@ -97,7 +98,7 @@ def _stepper(base: ScanConfig, field: str):
     does, and gives the point's SweepRecord fields as a tuple.
 
     The step runs solve_scanner's checks as one test, then repeats the operations of
-    end_force and of statics inline and in order, as profile_chunks does for _beam;
+    end_force and of statics inline and in order, as profile_chunk does for _beam;
     test_hoisted_sweeps_match_reference_bit_for_bit holds it to their bits. Each part of
     the solve that does not read field is computed once, when the step is made: the test of
     the other fields that must be > 0, the force's left-to-right prefix
@@ -162,9 +163,9 @@ def _stepper(base: ScanConfig, field: str):
     return step
 
 
-def sweep_points(spec: SweepSpec):
-    """The sweep grid's SweepRecord fields, as tuples, one point at a time."""
-    return map(_stepper(spec.base, AXES[spec.axis]), spec.grid())
+def sweep_points(spec: SweepSpec, lo: int = 0, hi: float = math.inf):
+    """The SweepRecord fields of grid points lo to hi - 1 (by default all), as tuples."""
+    return map(_stepper(spec.base, AXES[spec.axis]), spec.grid(lo, hi))
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRecord]:

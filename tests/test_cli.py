@@ -1,9 +1,11 @@
 import ast
+import functools
 import hashlib
 import itertools
 import math
 import os
 import pathlib
+import signal
 import stat
 import subprocess
 import sys
@@ -12,11 +14,12 @@ import textwrap
 import pytest
 
 import piezoscanner
+from piezoscanner import scanner
 from piezoscanner.cli import (MAX_SAMPLES, MAX_STEPS, MIN_NODES, _SWEEP_HEADER, _sweep_row,
                               _write_atomic, run)
 from piezoscanner.config import ConfigError, parse_config
 from piezoscanner.scanner import profile_chunks, solve_scanner
-from piezoscanner.sweep import SweepSpec, reference_config, sweep_points
+from piezoscanner.sweep import SweepSpec, optimize_1d, reference_config, run_sweep, sweep_points
 
 from conftest import profile_outcome, profile_points, reference_profile_points
 
@@ -329,6 +332,26 @@ class TestProfileCommand:
         assert [line.split(",")[1] for line in out.read_text().splitlines()[1:]] == ["0"] * 7
 
 
+# (samples, a, span, rigidity) of the loads whose left half fills two 1,024-row chunks.
+FINITENESS_LOAD = (4097, 1.0, 101.0, 1e-300)
+
+
+@functools.cache
+def finiteness_forces() -> tuple[float, float]:
+    """(lo, hi), bisected with reference_profile_points: the largest force at which
+    FINITENESS_LOAD samples and the smallest at which it fails."""
+    samples, a, span, rigidity = FINITENESS_LOAD
+    lo, hi = 1.0, sys.float_info.max
+    while hi > lo * 1.001:
+        force = math.sqrt(lo) * math.sqrt(hi)
+        if isinstance(profile_outcome(reference_profile_points, samples, force, a, span,
+                                      rigidity), tuple):
+            hi = force
+        else:
+            lo = force
+    return lo, hi
+
+
 def test_profile_chunk_finiteness_matches_reference():
     """profile_chunks tests each chunk's ordinates by their sum. Two loads at 4,097 samples,
     whose left half fills two 1,024-row chunks, are found by bisecting the force with
@@ -336,18 +359,12 @@ def test_profile_chunk_finiteness_matches_reference():
     past float_info.max, gives the reference's bits. The smallest that fails, whose first
     non-finite ordinate is in the second chunk, raises the reference's exact error, once the
     first chunk is yielded."""
-    samples, a, span, rigidity = 4097, 1.0, 101.0, 1e-300
+    samples, a, span, rigidity = FINITENESS_LOAD
 
     def outcome(function, force):
         return profile_outcome(function, samples, force, a, span, rigidity)
 
-    lo, hi = 1.0, sys.float_info.max
-    while hi > lo * 1.001:
-        force = math.sqrt(lo) * math.sqrt(hi)
-        if isinstance(outcome(reference_profile_points, force), tuple):
-            hi = force
-        else:
-            lo = force
+    lo, hi = finiteness_forces()
     expected = outcome(reference_profile_points, lo)
     assert not math.isfinite(sum(float.fromhex(y) for _, y in expected[:1024]))
     assert outcome(profile_points, lo) == [
@@ -895,3 +912,210 @@ class TestAtomicWrites:
         finally:
             os.umask(old)
         assert stat.S_IMODE(out.stat().st_mode) == mode
+
+
+class TestForkedWrites:
+    """On two or more CPUs, profile and sweep fork one child for the pieces at odd places.
+    Each case runs with the one CPU and the two CPUs that a patched os.sched_getaffinity, the
+    CLI's CPU source, reports, and must give the same exit code, stdout, stderr and CSV
+    bytes, leave no temp file and leave no child process behind."""
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        """A run that hangs, as on a pipe that no process reads, fails after 60 s instead."""
+        def expire(signum, frame):
+            raise TimeoutError("the run took over 60 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    @staticmethod
+    def forks(monkeypatch, cpus):
+        """Make the CLI see cpus CPUs; return the list that each forked pid is appended to."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        forked, fork = [], os.fork
+
+        def counted_fork():
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        return forked
+
+    @staticmethod
+    def statuses(monkeypatch):
+        """Return the list that the status of each process the CLI reaps is appended to."""
+        reaped, waitpid = [], os.waitpid
+
+        def recorded_waitpid(pid, options):
+            result = waitpid(pid, options)
+            reaped.append(result[1])
+            return result
+
+        monkeypatch.setattr(os, "waitpid", recorded_waitpid)
+        return reaped
+
+    @staticmethod
+    def outcome(capfd, tmp_path, argv):
+        """(exit code, stdout, stderr, CSV bytes or None) of one run, in a directory that
+        must hold nothing else afterwards, and with no child process left."""
+        directory = tmp_path / "out"
+        directory.mkdir(exist_ok=True)
+        out = directory / "out.csv"
+        code = run([*argv, "--out", str(out)])
+        captured = capfd.readouterr()
+        data = out.read_bytes() if out.exists() else None
+        if data is not None:
+            out.unlink()
+        assert os.listdir(directory) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        return code, captured.out, captured.err, data
+
+    @staticmethod
+    def argv(tmp_path, argv, edits=None):
+        """argv with {config} as a Scanner A config with the given edits."""
+        text = SCANNER_A_CFG
+        for old, new in (edits or {}).items():
+            text = text.replace(old, new)
+        cfg = tmp_path / "design.cfg"
+        cfg.write_text(text)
+        return [arg.format(config=cfg) for arg in argv]
+
+    PROFILE = ["profile", "--config", "{config}", "--samples"]
+    VOLTAGE_SWEEP = ["sweep", "--config", "{config}", "--axis", "voltage", "--from=0", "--to=50",
+                     "--steps"]
+    # argv, config edits, exit code, SHA-256 of the CSV (None: not pinned), forks on two CPUs.
+    CASES = {
+        # The CI pins: the benchmark's profile size and the 200,000-point voltage sweep.
+        "profile-200001": (PROFILE + ["200001"], None, 0,
+                           "b13feb5d1362caf50fb1d6910a1e643bc1affdd64058edb61f26b33a583169a9", 1),
+        "sweep-200000": (VOLTAGE_SWEEP + ["200000"], None, 0,
+                         "a48b2eb408a9f62d714ebd5d849a019f5d4d51c49563e2fb9d52bae4bb30744d", 1),
+        # The child's one piece is the right anchor alone, or the last row and the anchor.
+        "profile-1025": (PROFILE + ["1025"], None, 0, None, 1),
+        "profile-2049": (PROFILE + ["2049"], None, 0, None, 1),
+        # One piece: nothing to share.
+        "profile-401": (PROFILE + ["401"], None, 0,
+                        "ba6d82e49119ecef35f0f3bd509ba40fde8c6dcc714081a6ae837cf0754ede18", 0),
+        # Rows 1596-2047 overflow in CSV units: every error: row is in the child's piece.
+        "sweep-errors-in-child-piece": (
+            ["sweep", "--config", "{config}", "--axis", "voltage", "--from=1", "--to=2.4e221",
+             "--steps", "2048"], CSV_UNIT_OVERFLOW, 2, None, 1),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_forked_run_matches_one_process(self, monkeypatch, capfd, tmp_path, case):
+        argv, edits, code, digest, forks = self.CASES[case]
+        argv = self.argv(tmp_path, argv, edits)
+        forked = self.forks(monkeypatch, 1)
+        expected = self.outcome(capfd, tmp_path, argv)
+        assert forked == []
+        forked = self.forks(monkeypatch, 2)
+        assert self.outcome(capfd, tmp_path, argv) == expected
+        assert len(forked) == forks
+        assert expected[0] == code
+        assert digest is None or hashlib.sha256(expected[3]).hexdigest() == digest
+        if case == "sweep-errors-in-child-piece":
+            statuses = [line.rsplit(",", 1)[1] for line in expected[3].decode().splitlines()[1:]]
+            assert set(statuses[:1024]) == {"ok"} and "ok" not in statuses[1596:]
+            assert expected[1:3] == (
+                "", "numeric: some sweep points failed; see the status column\n")
+
+    def test_failing_child_piece(self, monkeypatch, capfd, tmp_path):
+        """FINITENESS_LOAD at the smallest force that fails has its first non-finite ordinate in
+        the second piece, the child's: the parent computes that piece itself and raises the
+        reference's exact error, and nothing is written."""
+        samples, a, span, rigidity = FINITENESS_LOAD
+        force = finiteness_forces()[1]
+        _, text = profile_outcome(reference_profile_points, samples, force, a, span, rigidity)
+        solution = (force, rigidity, a, span, 0.0, 0.0, 0.0, a)  # y_max 0 passes the CSV check
+        monkeypatch.setattr(scanner, "solve_scanner", lambda *config: solution)
+        argv = self.argv(tmp_path, self.PROFILE + [str(samples)])
+        self.forks(monkeypatch, 1)
+        expected = self.outcome(capfd, tmp_path, argv)
+        assert expected == (2, "", f"numeric: {text}\n", None)
+        forked = self.forks(monkeypatch, 2)
+        assert self.outcome(capfd, tmp_path, argv) == expected
+        assert len(forked) == 1
+
+    @pytest.mark.parametrize("failing", [0, 3], ids=["header", "mid-file"])
+    def test_write_error(self, monkeypatch, capfd, tmp_path, failing):
+        """A CSV write that fails in the parent, on the header before any piece is read or
+        after three pieces, exits 1 naming --out, removes the temp file and reaps the child."""
+        fdopen = os.fdopen
+
+        def failing_fdopen(fd, mode="r", *args, **kwargs):
+            handle = fdopen(fd, mode, *args, **kwargs)
+            if mode == "w":  # the CSV; the pipe's ends are binary
+                write, writes = handle.write, itertools.count()
+
+                def failing_write(text):
+                    if next(writes) == failing:
+                        raise OSError(28, "No space left on device")
+                    return write(text)
+
+                handle.write = failing_write
+            return handle
+
+        monkeypatch.setattr(os, "fdopen", failing_fdopen)
+        forked = self.forks(monkeypatch, 2)
+        out = tmp_path / "out" / "out.csv"
+        assert self.outcome(capfd, tmp_path, self.argv(tmp_path, self.PROFILE + ["200001"])) == (
+            1, "", f"config: cannot write {out}: No space left on device\n", None)
+        assert len(forked) == 1
+
+    def test_killed_child(self, monkeypatch, capfd, tmp_path):
+        """A child killed with SIGKILL after it sent its first piece: the parent computes the
+        pieces it did not send, so the run exits 0 with the one-process bytes."""
+        parent, profile_chunk = os.getpid(), scanner.profile_chunk
+
+        def killing_profile_chunk(start, *args):
+            if os.getpid() != parent and start == 3 * 1024:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return profile_chunk(start, *args)
+
+        argv = self.argv(tmp_path, self.PROFILE + ["200001"])
+        self.forks(monkeypatch, 1)
+        expected = self.outcome(capfd, tmp_path, argv)
+        monkeypatch.setattr(scanner, "profile_chunk", killing_profile_chunk)
+        self.forks(monkeypatch, 2)
+        reaped = self.statuses(monkeypatch)
+        assert self.outcome(capfd, tmp_path, argv) == expected
+        assert [os.WIFSIGNALED(status) and os.WTERMSIG(status) for status in reaped] == [
+            signal.SIGKILL]
+
+    def test_child_without_reader_exits_quietly(self, monkeypatch, capfd, tmp_path):
+        """The parent fails at its own second piece while the child is pieces ahead: the
+        child's next write finds no reader, and it exits 1 through os._exit, writing nothing
+        to stderr."""
+        parent, profile_chunk = os.getpid(), scanner.profile_chunk
+
+        def failing_profile_chunk(start, *args):
+            if os.getpid() == parent and start == 2 * 1024:
+                raise ValueError("the parent fails at row 2048")
+            return profile_chunk(start, *args)
+
+        monkeypatch.setattr(scanner, "profile_chunk", failing_profile_chunk)
+        forked = self.forks(monkeypatch, 2)
+        reaped = self.statuses(monkeypatch)
+        assert self.outcome(capfd, tmp_path, self.argv(tmp_path, self.PROFILE + ["200001"])) == (
+            2, "", "numeric: the parent fails at row 2048\n", None)
+        assert len(forked) == 1
+        assert [os.WIFEXITED(status) and os.WEXITSTATUS(status) for status in reaped] == [1]
+
+    def test_one_row_commands_and_the_api_never_fork(self, monkeypatch, capfd, tmp_path):
+        forked = self.forks(monkeypatch, 2)
+        model = self.argv(tmp_path, ["model", "--config", "{config}"])
+        assert self.outcome(capfd, tmp_path, model)[0] == 0
+        assert self.outcome(capfd, tmp_path, ["table1"])[0] == 0
+        assert run(["verify", "--nodes", str(MIN_NODES)]) == 0
+        spec = SweepSpec(reference_config(), "voltage", 0.0, 50.0, 5000)
+        assert len(run_sweep(spec)) == 5000
+        optimize_1d(spec._replace(axis="beam_length", start=100e-6, stop=2000e-6), "tilt")
+        assert forked == []
