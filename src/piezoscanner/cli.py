@@ -25,7 +25,8 @@ from .config import ConfigError, parse_config
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
-# 10x the largest benchmarked sizes. Rows stream 1,024 at a time: memory does not grow.
+PIECE_ROWS = 1024  # the rows of a profile or sweep CSV that one call formats
+# 10x the largest benchmarked sizes. Rows stream PIECE_ROWS at a time: memory does not grow.
 MAX_SAMPLES = 2_000_001  # profile samples and verify nodes
 # The fewest verify nodes: the coarsest grid of verify's own convergence study, where the
 # oracle lines pass the correct model with about 18x headroom.
@@ -67,12 +68,14 @@ def _write_atomic(path: str, header: str, pieces) -> None:
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _write_chunks(path: str, header: str, piece, starts: range) -> bool:
-    """_write_atomic of piece(start) for each start; return whether a row has a sweep's
-    `error:` status. On two or more CPUs a forked child computes the pieces at odd places and
-    sends each through a pipe after a line of its size. The parent computes the rest, and any
-    the child did not send, so the output is the one-process run's, errors included; it
-    closes the pipe and reaps the child, which ends with os._exit, before it returns."""
+def _write_chunks(path: str, header: str, piece, rows: int) -> bool:
+    """_write_atomic of piece(lo, lo + PIECE_ROWS) for lo = 0, PIECE_ROWS, ... below rows;
+    return whether a row has a sweep's `error:` status. On two or more CPUs a forked child
+    computes the pieces at odd places and sends each through a pipe after a line of its size.
+    The parent computes the rest, and any the child did not send, so the output is the
+    one-process run's, errors included; it closes the pipe and reaps the child, which ends
+    with os._exit, before it returns."""
+    starts = range(0, rows, PIECE_ROWS)
     pipe = None
     if len(starts) > 1 and len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) > 1:
         read_fd, write_fd = os.pipe()
@@ -81,8 +84,8 @@ def _write_chunks(path: str, header: str, piece, starts: range) -> bool:
             try:
                 os.close(read_fd)
                 with os.fdopen(write_fd, "wb") as out:
-                    for start in starts[1::2]:
-                        data = piece(start).encode()
+                    for lo in starts[1::2]:
+                        data = piece(lo, lo + PIECE_ROWS).encode()
                         out.write(b"%d\n%s" % (len(data), data))
                 os._exit(0)
             finally:
@@ -92,10 +95,10 @@ def _write_chunks(path: str, header: str, piece, starts: range) -> bool:
     errors = []
 
     def pieces():
-        for n, start in enumerate(starts):
+        for n, lo in enumerate(starts):
             size = pipe.readline() if pipe and n % 2 else b""
             data = pipe.read(int(size)) if size.endswith(b"\n") else b""
-            text = data.decode() if data and len(data) == int(size) else piece(start)
+            text = data.decode() if data and len(data) == int(size) else piece(lo, lo + PIECE_ROWS)
             errors.append(",error: " in text)
             yield text
 
@@ -154,11 +157,11 @@ def _cmd_profile(args) -> int:
     _model_row(*solution)  # every |y| is at most y_max: this bounds the rows in CSV units too
     force, rigidity, a, half_span = solution[:4]
 
-    def piece(start):
-        chunk = scanner.profile_chunk(start, args.samples, force, a, half_span, rigidity)
-        return ("%.9g,%.9g\n" * (len(chunk) // 2)) % tuple([v * 1e6 for v in chunk])
+    def piece(lo, hi):
+        rows = scanner.profile_rows(args.samples, force, a, half_span, rigidity, lo, hi)
+        return ("%.9g,%.9g\n" * (len(rows) // 2)) % tuple([v * 1e6 for v in rows])
 
-    _write_chunks(args.out, "x_um,y_um", piece, range(0, args.samples | 1, 1024))
+    _write_chunks(args.out, "x_um,y_um", piece, args.samples | 1)
     return EXIT_OK
 
 
@@ -194,20 +197,20 @@ def _cmd_sweep(args) -> int:
                                steps=args.steps)
     ok_row = f"{args.axis},%.9g,%.9g,%.9g,%.9g,%.9g,ok\n"
 
-    def piece(start):
-        """Points start to start + 1023 as rows, in one call if all are ok and finite."""
-        chunk = list(sweep_mod.sweep_points(spec, start, start + 1024))
-        if all(point[5] == "ok" for point in chunk):
+    def piece(lo, hi):
+        """Points lo to hi - 1 as rows, in one call if all are ok and finite."""
+        points = list(sweep_mod.sweep_points(spec, lo, hi))
+        if all(point[5] == "ok" for point in points):
             values = tuple(itertools.chain.from_iterable(
                 (value, tilt_deg, y_max * 1e6, abs(force) * 1e6, reaction * 1e6)
-                for value, tilt_deg, y_max, force, reaction, _ in chunk))
+                for value, tilt_deg, y_max, force, reaction, _ in points))
             # A sum with an inf or nan term is not finite, so a finite sum clears every cell.
             if math.isfinite(sum(values[1::5]) + sum(values[2::5]) + sum(values[3::5])
                              + sum(values[4::5])):
-                return (ok_row * len(chunk)) % values
-        return "".join([_sweep_row(args.axis, *point) for point in chunk])
+                return (ok_row * len(points)) % values
+        return "".join([_sweep_row(args.axis, *point) for point in points])
 
-    if _write_chunks(args.out, _SWEEP_HEADER, piece, range(0, args.steps, 1024)):
+    if _write_chunks(args.out, _SWEEP_HEADER, piece, args.steps):
         print("numeric: some sweep points failed; see the status column", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK

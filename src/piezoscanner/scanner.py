@@ -68,7 +68,7 @@ def _slope(force: float, a: float, span: float, rigidity: float) -> float:
 
 def _beam(x, slope, a, span):
     """The beam branch at x (a float or an array) of a design with this mirror slope.
-    :func:`profile_chunk` repeats these operations inline, in this order."""
+    :func:`profile_rows` repeats these operations inline, in this order."""
     length = span - a
     u = (x - span) / length
     return slope * u * u * (2 * a * (x - a) / length + x)
@@ -120,7 +120,7 @@ def solve_scanner(substrate_E: float, piezo_E: float, d31: float, substrate_t: f
     given by the field values of :class:`~piezoscanner.sweep.ScanConfig` in its field order.
 
     The stack is checked first, then the mirror, so a design that fails both
-    raises the stack's error. Nothing is sampled; :func:`profile_chunk`
+    raises the stack's error. Nothing is sampled; :func:`profile_rows`
     samples the profile.
     """
     check_stack(substrate_E, substrate_t, piezo_E, piezo_t, beam_width, beam_length)
@@ -130,30 +130,33 @@ def solve_scanner(substrate_E: float, piezo_E: float, d31: float, substrate_t: f
     return (force, rigidity, a, span, *statics(force, a, span, rigidity))
 
 
-def profile_chunk(start: int, samples: int, force: float, a: float, span: float,
-                  rigidity: float) -> list[float]:
-    """Rows start to start + 1023 (fewer at the end) of a solved design's full-device profile
-    at samples points, as a flat SI list [u0, y0, u1, y1, ...].
+def profile_rows(samples: int, force: float, a: float, span: float, rigidity: float,
+                 lo: int = 0, hi: float = math.inf) -> list[float]:
+    """Rows lo to hi - 1 (by default all) of a solved design's full-device profile at
+    samples points, as a flat SI list [u0, y0, u1, y1, ...]; an empty range gives [].
 
     u runs uniformly from the left anchor (0) through the fixed mirror center (span) to the
     right anchor (2 span); an even sample count is bumped by one so the center is a sample.
     The anchors and the center are the clamps and the fixed support: y = +0.0, as is every
     zero ordinate. Left-half row j, at u_j = 2 span j / (samples - 1), is on the mirror or
     :func:`_beam`; the right-half row at 2 span - u_j negates that ordinate as 0.0 - y, so
-    the antisymmetry is exact. A non-finite ordinate raises ValueError naming its u_j; only
-    an ordinate sum that is not finite walks the loop that names it. The slope is computed
-    for every chunk, so a design the closed forms cannot evaluate fails even with no
-    interior sample; past it the beam branch divides only by span - a > 0.
+    the antisymmetry is exact and the rows are a function of their range alone. A non-finite
+    ordinate raises ValueError naming its u_j; only an ordinate sum that is not finite walks
+    the loop that names it. The slope is computed for every range, so a design the closed
+    forms cannot evaluate fails even with no interior sample; past it the beam branch
+    divides only by span - a > 0.
     """
+    if samples < 2:
+        raise ValueError("samples must be >= 2")
     slope = _slope(force, a, span, rigidity)
     length = span - a
     two_a = 2 * a
     full = 2 * span
     last = (samples | 1) - 1
     mid = last // 2
-    stop = min(start + 1024, last + 1)
-    left = range(max(start, 1), min(stop, mid))
-    right = range(last - max(start, mid + 1), max(last - stop, 0), -1)  # row i at j = last - i
+    stop = min(hi, last + 1)
+    left = range(max(lo, 1), min(stop, mid))
+    right = range(last - max(lo, mid + 1), max(last - stop, 0), -1)  # row i at j = last - i
     us = [full * j / last for j in [*left, *right]]
     ys = []
     for u in us:
@@ -169,17 +172,9 @@ def profile_chunk(start: int, samples: int, force: float, a: float, span: float,
             if not math.isfinite(y):
                 raise ValueError(f"non-finite profile ordinate ({y}) at u={u}")
     # The rows at y = 0: the anchors, and the center, which full * mid / last can round off span.
-    head, center, tail, n = start == 0, start <= mid < stop, stop > last, len(left)
+    head, center, tail, n = lo == 0 < stop, lo <= mid < stop, lo <= last < stop, len(left)
     us = [0.0] * head + us[:n] + [span] * center + [full - u for u in us[n:]] + [full] * tail
     ys = [0.0] * head + ys[:n] + [0.0] * center + [0.0 - y for y in ys[n:]] + [0.0] * tail
-    chunk = us + ys
-    chunk[::2], chunk[1::2] = us, ys
-    return chunk
-
-
-def profile_chunks(samples: int, force: float, a: float, span: float, rigidity: float):
-    """Yield the :func:`profile_chunk` lists of a solved design in order, 1,024 rows each."""
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
-    for start in range(0, samples | 1, 1024):
-        yield profile_chunk(start, samples, force, a, span, rigidity)
+    rows = us + ys
+    rows[::2], rows[1::2] = us, ys
+    return rows

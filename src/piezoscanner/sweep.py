@@ -98,7 +98,7 @@ def _stepper(base: ScanConfig, field: str):
     does, and gives the point's SweepRecord fields as a tuple.
 
     The step runs solve_scanner's checks as one test, then repeats the operations of
-    end_force and of statics inline and in order, as profile_chunk does for _beam;
+    end_force and of statics inline and in order, as profile_rows does for _beam;
     test_hoisted_sweeps_match_reference_bit_for_bit holds it to their bits. Each part of
     the solve that does not read field is computed once, when the step is made: the test of
     the other fields that must be > 0, the force's left-to-right prefix
@@ -203,12 +203,9 @@ def optimize_1d(spec: SweepSpec, objective: str = "tilt") -> tuple[float, float]
     if not grid:
         raise ValueError("no feasible point on the sweep grid")
 
-    best_x, best_f = grid[0]
-    for x, f in grid[1:]:
-        if f > best_f:
-            best_x, best_f = x, f
-
-    idx = [x for x, _ in grid].index(best_x)
+    fs = [f for _, f in grid]
+    idx = fs.index(max(fs))
+    best_x, best_f = grid[idx]
     lo = grid[max(idx - 1, 0)][0]
     hi = grid[min(idx + 1, len(grid) - 1)][0]
     if lo == hi:

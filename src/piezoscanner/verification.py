@@ -23,7 +23,6 @@ layers 0.2-20 um thick, widths of 5-200 um, lengths of 100-2000 um, mirrors of
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -164,12 +163,13 @@ def _sampling_residual(samples: int, force: float, a: float, span: float, rigidi
     """The largest difference between scanner's sampled profile and what it must be: on the
     left half and the center, the grid u = 2 span j / (samples - 1) (the center at span) and
     the branches at the sampled u, from one slope; on the right half, the left half's exact
-    mirror. u is taken in units of span and y of y_max."""
-    rows = list(itertools.chain.from_iterable(
-        scanner.profile_chunks(samples, force, a, span, rigidity)))
-    u, y = rows[0::2], rows[1::2]
+    mirror. u is taken in units of span and y of y_max. The profile is read as two ranges
+    cut at the center row, so the second starts at the center."""
     last = (samples | 1) - 1
     mid = last // 2
+    rows = (scanner.profile_rows(samples, force, a, span, rigidity, 0, mid)
+            + scanner.profile_rows(samples, force, a, span, rigidity, mid))
+    u, y = rows[0::2], rows[1::2]
     if len(u) != last + 1:
         return math.inf
     full = 2 * span
@@ -187,9 +187,8 @@ def checks(nodes: int):
     """Yield (name, residual, tolerance) for the whole verification suite."""
     reference = sweep.reference_config()
     force, rigidity, a, span, _, _, y_max, _ = scanner.solve_scanner(*reference)
-    # Scanner A's 2,048 samples are bumped to 2,049, whose left half and center fill one
-    # 1,024-row chunk and start the next. That profile is the line's main cost, so three
-    # drawn designs take 101, 100 and 5 samples.
+    # Scanner A's 2,048 samples are bumped to 2,049. That profile is the line's main cost,
+    # so three drawn designs take 101, 100 and 5 samples.
     sampled = [(2048, force, a, span, rigidity, y_max)]
 
     problem = oracle.BeamProblem(span=span, a=a, force=force, rigidity=rigidity, nodes=nodes)

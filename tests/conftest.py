@@ -4,7 +4,7 @@ from collections import namedtuple
 from hypothesis import Phase, settings
 from hypothesis import strategies as st
 
-from piezoscanner.scanner import _beam, _slope, profile_chunks, solve_scanner
+from piezoscanner.scanner import _beam, _slope, profile_rows, solve_scanner
 from piezoscanner.sweep import ScanConfig
 
 # Every phase but explain, which only annotates a failure that is already shrunk
@@ -18,9 +18,9 @@ Solution = namedtuple("Solution", "force rigidity a half_span reaction tilt_sign
 
 
 def profile_points(samples: int, force: float, a: float, span: float, rigidity: float):
-    """The (u, y) rows of scanner.profile_chunks, one pair at a time."""
-    for chunk in profile_chunks(samples, force, a, span, rigidity):
-        yield from zip(chunk[::2], chunk[1::2])
+    """The (u, y) rows of scanner.profile_rows, one pair at a time."""
+    rows = profile_rows(samples, force, a, span, rigidity)
+    return zip(rows[::2], rows[1::2])
 
 
 def sampled(config: ScanConfig, samples: int):
@@ -75,8 +75,24 @@ def reference_profile_points(samples: int, force: float, a: float, span: float, 
     yield full - u_mirror, 0.0
 
 
+# Sample counts of 2 to 5, and around one, two and four of the CLI's 1,024-row pieces.
+PROFILE_SAMPLES = (2, 3, 4, 5, 1023, 1024, 1025, 2047, 2049, 4097)
+
+
+def extreme_profile_load(rng):
+    """(force, a, span, rigidity): a force of +-0, +-inf, nan or log-uniform in 1e-300 ..
+    1e300 of either sign, and a, the beam length and the rigidity log-uniform in 1e-300 ..
+    1e300, so that a + length can round to a and the statics can overflow or underflow."""
+    force = rng.choice((0.0, -0.0, math.inf, -math.inf, math.nan, None, None, None))
+    if force is None:
+        force = math.copysign(10 ** rng.uniform(-300, 300), rng.random() - 0.5)
+    a, length, rigidity = (10 ** rng.uniform(-300, 300) for _ in range(3))
+    return force, a, a + length, rigidity
+
+
 def profile_outcome(function, *args):
-    """The hex of every (u, y) the generator yields, or its exception's exact type and text."""
+    """The hex of every (u, y) that function(*args) gives, or its exception's exact type and
+    text."""
     try:
         return [(u.hex(), y.hex()) for u, y in function(*args)]
     except Exception as exc:  # the exception type is part of what is compared

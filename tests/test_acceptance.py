@@ -92,12 +92,12 @@ def test_sampling_line_fails_on_a_reassociated_sampler(monkeypatch):
     """A sampler whose beam ordinate multiplies v * v before the slope rounds differently
     from the beam branch in the last bit: profile_sampling, at tolerance 0.0, fails, and the
     other eight lines, which never sample a profile, pass."""
-    source = inspect.getsource(scanner.profile_chunk)
+    source = inspect.getsource(scanner.profile_rows)
     mutant_source = source.replace("y = slope * v * v * (", "y = slope * (v * v) * (")
     assert mutant_source != source
     namespace = dict(vars(scanner))
     exec(mutant_source, namespace)
-    monkeypatch.setattr(scanner, "profile_chunk", namespace["profile_chunk"])
+    monkeypatch.setattr(scanner, "profile_rows", namespace["profile_rows"])
     failed = [name for name, residual, tol in verification.checks(2001) if not residual <= tol]
     assert failed == ["profile_sampling"]
 

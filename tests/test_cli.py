@@ -5,6 +5,7 @@ import itertools
 import math
 import os
 import pathlib
+import random
 import signal
 import stat
 import subprocess
@@ -15,13 +16,14 @@ import pytest
 
 import piezoscanner
 from piezoscanner import scanner
-from piezoscanner.cli import (MAX_SAMPLES, MAX_STEPS, MIN_NODES, _SWEEP_HEADER, _sweep_row,
-                              _write_atomic, run)
+from piezoscanner.cli import (MAX_SAMPLES, MAX_STEPS, MIN_NODES, PIECE_ROWS, _SWEEP_HEADER,
+                              _sweep_row, _write_atomic, run)
 from piezoscanner.config import ConfigError, parse_config
-from piezoscanner.scanner import profile_chunks, solve_scanner
+from piezoscanner.scanner import profile_rows, solve_scanner
 from piezoscanner.sweep import SweepSpec, optimize_1d, reference_config, run_sweep, sweep_points
 
-from conftest import profile_outcome, profile_points, reference_profile_points
+from conftest import (PROFILE_SAMPLES, extreme_profile_load, profile_outcome, profile_points,
+                      reference_profile_points)
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 SCANNER_A_CFG = (REPO / "scannerA.cfg").read_text()
@@ -306,7 +308,7 @@ class TestProfileCommand:
             assert hashlib.sha256(out.read_bytes()).hexdigest() == (
                 "fa0c60ece7ccdb4b418861e890eec46c592ea8bcd197d22e6edddefaeda4bb94")
 
-    @pytest.mark.parametrize("samples", [2, 3, 4, 5, 1023, 1024, 1025, 2047, 2049, 4097])
+    @pytest.mark.parametrize("samples", PROFILE_SAMPLES)
     def test_rows_format_as_one_row_at_a_time(self, config_path, tmp_path, samples):
         """The rows, formatted 1,024 to a call, are the bytes of one "%.9g" format per row:
         short, full, partial last and even-count (bumped to odd) chunks alike."""
@@ -332,7 +334,7 @@ class TestProfileCommand:
         assert [line.split(",")[1] for line in out.read_text().splitlines()[1:]] == ["0"] * 7
 
 
-# (samples, a, span, rigidity) of the loads whose left half fills two 1,024-row chunks.
+# (samples, a, span, rigidity) of the loads whose left half fills two of the CLI's pieces.
 FINITENESS_LOAD = (4097, 1.0, 101.0, 1e-300)
 
 
@@ -352,13 +354,13 @@ def finiteness_forces() -> tuple[float, float]:
     return lo, hi
 
 
-def test_profile_chunk_finiteness_matches_reference():
-    """profile_chunks tests each chunk's ordinates by their sum. Two loads at 4,097 samples,
-    whose left half fills two 1,024-row chunks, are found by bisecting the force with
-    reference_profile_points. The largest that samples, whose first chunk's ordinates sum
+def test_profile_rows_finiteness_matches_reference():
+    """profile_rows tests each range's ordinates by their sum. Two loads at 4,097 samples,
+    whose left half fills two of the CLI's pieces, are found by bisecting the force with
+    reference_profile_points. The largest that samples, whose first piece's ordinates sum
     past float_info.max, gives the reference's bits. The smallest that fails, whose first
-    non-finite ordinate is in the second chunk, raises the reference's exact error, once the
-    first chunk is yielded."""
+    non-finite ordinate is in the second piece, gives the first piece and raises the
+    reference's exact error on the second."""
     samples, a, span, rigidity = FINITENESS_LOAD
 
     def outcome(function, force):
@@ -366,7 +368,7 @@ def test_profile_chunk_finiteness_matches_reference():
 
     lo, hi = finiteness_forces()
     expected = outcome(reference_profile_points, lo)
-    assert not math.isfinite(sum(float.fromhex(y) for _, y in expected[:1024]))
+    assert not math.isfinite(sum(float.fromhex(y) for _, y in expected[:PIECE_ROWS]))
     assert outcome(profile_points, lo) == [
         (u, "0x0.0p+0" if y == "-0x0.0p+0" else y) for u, y in expected]
 
@@ -376,13 +378,90 @@ def test_profile_chunk_finiteness_matches_reference():
     with pytest.raises(ValueError):
         for _ in reference_profile_points(samples, hi, a, span, rigidity):
             yielded += 1
-    assert yielded > 1024  # the first non-finite ordinate is in the second chunk
+    assert yielded > PIECE_ROWS  # the first non-finite ordinate is in the second piece
     assert outcome(profile_points, hi) == expected
-    chunks = profile_chunks(samples, hi, a, span, rigidity)
-    assert len(next(chunks)) == 2048
+    assert len(profile_rows(samples, hi, a, span, rigidity, 0, PIECE_ROWS)) == 2 * PIECE_ROWS
     with pytest.raises(ValueError) as raised:
-        next(chunks)
+        profile_rows(samples, hi, a, span, rigidity, PIECE_ROWS, 2 * PIECE_ROWS)
     assert str(raised.value) == expected[1]
+
+
+# Row counts of the pieces that the partition tests cut a profile or a sweep into.
+PIECE_SIZES = (1, 2, 3, 7, PIECE_ROWS - 1, PIECE_ROWS, PIECE_ROWS + 1)
+
+
+def partitions(n: int, mid: int):
+    """Lists of ranges (lo, hi) that cover rows 0 to n - 1 in order: pieces of each of
+    PIECE_SIZES, two pieces cut at 0, 1, mid, mid + 1, n - 1 and n, and a cut at mid with
+    empty ranges at 0, at mid and past the end."""
+    for size in PIECE_SIZES:
+        yield [(lo, lo + size) for lo in range(0, n, size)]
+    for cut in (0, 1, mid, mid + 1, n - 1, n):
+        yield [(0, cut), (cut, math.inf)]
+    yield [(0, 0), (0, mid), (mid, mid), (mid, math.inf), (n, n), (n + 1, n + 7), (n + 5, math.inf)]
+
+
+def range_outcome(function, ranges):
+    """The hex of each float (and each status text) that function(lo, hi) gives over the
+    ranges in order, or the first exception's exact type and text."""
+    try:
+        return [value.hex() if isinstance(value, float) else value
+                for lo, hi in ranges for value in function(lo, hi)]
+    except Exception as exc:  # the exception type is part of what is compared
+        return type(exc), str(exc)
+
+
+def partition_loads():
+    """(force, a, span, rigidity) of Scanner A, of FINITENESS_LOAD at both forces of
+    finiteness_forces() and of six extreme_profile_load draws."""
+    force, rigidity, a, span = solve_scanner(*reference_config())[:4]
+    _, a_f, span_f, rigidity_f = FINITENESS_LOAD
+    rng = random.Random(20261025)
+    return [(force, a, span, rigidity),
+            *((f, a_f, span_f, rigidity_f) for f in finiteness_forces()),
+            *(extreme_profile_load(rng) for _ in range(6))]
+
+
+def test_profile_rows_partitions_match_one_call():
+    """profile_rows over any partition of the rows into ranges, empty ones included, gives
+    the bits of one call over all of them, or its exact exception; an empty range, at 0 or
+    past the last row, gives []."""
+    outcomes = set()
+    for load in partition_loads():
+        for samples in PROFILE_SAMPLES:
+            last = (samples | 1) - 1
+
+            def rows(lo, hi):
+                return profile_rows(samples, *load, lo, hi)
+
+            whole = range_outcome(rows, [(0, math.inf)])
+            outcomes.add(type(whole))
+            for ranges in partitions(last + 1, last // 2):
+                assert range_outcome(rows, ranges) == whole, (load, samples, ranges)
+            if isinstance(whole, list):
+                assert rows(0, 0) == rows(last + 1, math.inf) == rows(last + 2, last + 9) == []
+    assert outcomes == {list, tuple}  # loads that sample and loads that fail
+
+
+def test_sweep_points_partitions_match_one_call():
+    """sweep_points over any partition of the points into ranges, empty ones included, gives
+    the bits and statuses of one call over all of them, on each axis and on a sweep whose
+    first half fails."""
+    specs = [SweepSpec(reference_config(), axis, lo, hi, 2049) for axis, (lo, hi) in (
+        ("beam_length", (100e-6, 2000e-6)), ("beam_width", (5e-6, 200e-6)),
+        ("mirror_side", (10e-6, 1000e-6)), ("piezo_thickness", (0.2e-6, 20e-6)),
+        ("substrate_thickness", (0.2e-6, 20e-6)), ("voltage", (0.0, 50.0)),
+        ("beam_length", (-1e-3, 1e-3)))]
+    for spec in specs:
+
+        def points(lo, hi):
+            return [value for point in sweep_points(spec, lo, hi) for value in point]
+
+        whole = range_outcome(points, [(0, math.inf)])
+        assert len(whole) == 6 * spec.steps
+        for ranges in partitions(spec.steps, spec.steps // 2):
+            assert range_outcome(points, ranges) == whole, (spec.axis, ranges)
+    assert "length must be > 0" in whole and "ok" in whole
 
 
 # The README's model, sweep and table1 commands on Scanner A: argv after the
@@ -721,9 +800,9 @@ def test_only_the_oracle_imports_numpy():
 def test_cli_loads_only_model_path_modules(config_path, tmp_path, flags):
     """The import and every command but verify load exactly the package modules of the
     model path, and neither scipy nor numpy, nor fractions, which only verify's exact layer
-    check reads, nor configparser, since config.py reads its own line grammar, nor array,
-    which only profile loads, for the import. Under -S, with no site hook that may load
-    them itself, neither do dataclasses, inspect or tempfile."""
+    check reads, nor configparser, since config.py reads its own line grammar; the import
+    loads no array either. Under -S, with no site hook that may load them itself, neither do
+    dataclasses, inspect or tempfile."""
     src = os.path.dirname(os.path.dirname(piezoscanner.__file__))
     probe = textwrap.dedent(
         """\
@@ -1073,17 +1152,17 @@ class TestForkedWrites:
     def test_killed_child(self, monkeypatch, capfd, tmp_path):
         """A child killed with SIGKILL after it sent its first piece: the parent computes the
         pieces it did not send, so the run exits 0 with the one-process bytes."""
-        parent, profile_chunk = os.getpid(), scanner.profile_chunk
+        parent, profile_rows = os.getpid(), scanner.profile_rows
 
-        def killing_profile_chunk(start, *args):
-            if os.getpid() != parent and start == 3 * 1024:
+        def killing_profile_rows(*args):
+            if os.getpid() != parent and args[5] == 3 * PIECE_ROWS:  # lo
                 os.kill(os.getpid(), signal.SIGKILL)
-            return profile_chunk(start, *args)
+            return profile_rows(*args)
 
         argv = self.argv(tmp_path, self.PROFILE + ["200001"])
         self.forks(monkeypatch, 1)
         expected = self.outcome(capfd, tmp_path, argv)
-        monkeypatch.setattr(scanner, "profile_chunk", killing_profile_chunk)
+        monkeypatch.setattr(scanner, "profile_rows", killing_profile_rows)
         self.forks(monkeypatch, 2)
         reaped = self.statuses(monkeypatch)
         assert self.outcome(capfd, tmp_path, argv) == expected
@@ -1094,14 +1173,14 @@ class TestForkedWrites:
         """The parent fails at its own second piece while the child is pieces ahead: the
         child's next write finds no reader, and it exits 1 through os._exit, writing nothing
         to stderr."""
-        parent, profile_chunk = os.getpid(), scanner.profile_chunk
+        parent, profile_rows = os.getpid(), scanner.profile_rows
 
-        def failing_profile_chunk(start, *args):
-            if os.getpid() == parent and start == 2 * 1024:
+        def failing_profile_rows(*args):
+            if os.getpid() == parent and args[5] == 2 * PIECE_ROWS:  # lo
                 raise ValueError("the parent fails at row 2048")
-            return profile_chunk(start, *args)
+            return profile_rows(*args)
 
-        monkeypatch.setattr(scanner, "profile_chunk", failing_profile_chunk)
+        monkeypatch.setattr(scanner, "profile_rows", failing_profile_rows)
         forked = self.forks(monkeypatch, 2)
         reaped = self.statuses(monkeypatch)
         assert self.outcome(capfd, tmp_path, self.argv(tmp_path, self.PROFILE + ["200001"])) == (

@@ -18,8 +18,8 @@ from piezoscanner.sweep import (
 from piezoscanner.verification import branches
 
 from conftest import (
-    Solution, half, physical_designs, profile_outcome, profile_points, reference_profile_points,
-    sampled,
+    PROFILE_SAMPLES, Solution, extreme_profile_load, half, physical_designs, profile_outcome,
+    profile_points, reference_profile_points, sampled,
 )
 
 # Scanner A: reference_config(), a 300 um mirror at 50 V. Frozen values computed by
@@ -603,21 +603,6 @@ def test_step_solves_failed_points_through_solve_scanner(monkeypatch):
     assert [record.status for record in records[:21]] == ["length must be > 0"] * 21
     assert all(record.ok for record in records[21:])
     assert calls == {"section": 1, "_geometry": 20, "solve_scanner": 21}
-
-
-# Sample counts of 2 to 5, and around one, two and four of the sampler's 1,024-row chunks.
-PROFILE_SAMPLES = (2, 3, 4, 5, 1023, 1024, 1025, 2047, 2049, 4097)
-
-
-def extreme_profile_load(rng):
-    """(force, a, span, rigidity): a force of +-0, +-inf, nan or log-uniform in 1e-300 ..
-    1e300 of either sign, and a, the beam length and the rigidity log-uniform in 1e-300 ..
-    1e300, so that a + length can round to a and the statics can overflow or underflow."""
-    force = rng.choice((0.0, -0.0, math.inf, -math.inf, math.nan, None, None, None))
-    if force is None:
-        force = math.copysign(10 ** rng.uniform(-300, 300), rng.random() - 0.5)
-    a, length, rigidity = (10 ** rng.uniform(-300, 300) for _ in range(3))
-    return force, a, a + length, rigidity
 
 
 def test_profile_matches_reference_bit_for_bit():
