@@ -164,7 +164,7 @@ def _sampling_residual(samples: int, force: float, a: float, span: float, rigidi
     left half and the center, the grid u = 2 span j / (samples - 1) (the center at span) and
     the branches at the sampled u, from one slope; on the right half, the left half's exact
     mirror. u is taken in units of span and y of y_max. The profile is read as two ranges
-    cut at the center row, so the second starts at the center."""
+    cut at the center row, so that a range starting at the center is checked too."""
     last = (samples | 1) - 1
     mid = last // 2
     rows = (scanner.profile_rows(samples, force, a, span, rigidity, 0, mid)
